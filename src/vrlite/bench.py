@@ -264,7 +264,7 @@ def _run_sequential(cfg, model, ds, rows, row) -> bool:
 def _run_distributed_rows(cfg, model, ds, rows, row, norm0) -> bool:
     stop_at = cfg.stop_at_rel
     stop_when = None
-    if stop_at is not None and cfg.transport == "sim":
+    if stop_at is not None:
         def stop_when(x):
             with np.errstate(over="ignore", invalid="ignore"):
                 rel = float(np.linalg.norm(full_gradient(model, ds, x)) / norm0)

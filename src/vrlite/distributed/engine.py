@@ -1,22 +1,39 @@
-"""Distributed run driver over two transports.
+"""Distributed run driver: one central loop and one worker loop, over two
+transports.
 
-The simulated transport is fully deterministic: compute and message
-delivery advance a virtual clock, and whenever several messages are
-ready at the same instant a seeded scheduler picks the next one
-uniformly. The socket transport runs the same protocol over localhost
-TCP streams using the binary frame codec, with one worker thread per
-connection and centrally serialized applies.
+`run_distributed` holds the central loop. In sync mode it gathers the p
+reports of a round, averages them with `central_sync_aggregate`, takes
+the snapshot and applies the stop rule, then broadcasts the average. In
+async mode it receives one delta at a time, folds it in with
+`central_async_apply`, replies to the sender, and takes a snapshot after
+every p applies. The worker loop is a generator: it runs a local epoch,
+yields the report, and adopts the reply it is sent.
+
+A transport moves reports and replies between the two:
+
+- `_Sim` drives every worker generator in-process. Compute and message
+  delivery advance a virtual clock, and whenever several reports are
+  ready at the same instant a seeded scheduler picks the next one
+  uniformly, so runs and their reported times are fully deterministic.
+- `_Socket` gives each worker a thread that drives its generator over a
+  localhost TCP connection with the binary frame codec, while the
+  central thread reads every connection through one selector. On exit
+  it half-closes every connection, reads each to its end, joins every
+  worker thread, and re-raises the first worker exception as the cause
+  of a RuntimeError.
 
 Both modes bootstrap identically: one plain-SGD epoch over worker 0's
 shard initializes (x, x_bar, g_bar), which is broadcast to every worker
 before the first distributed epoch. Epoch 1 in the snapshot log is that
 bootstrap; epoch k >= 2 closes after each worker has contributed its
-(k-1)-th distributed epoch.
+(k-1)-th distributed epoch. One stop rule holds at every snapshot: a
+non-finite central iterate ends the run flagged diverged, and a true
+`stop_when` ends it early. A stopped run ends without a last broadcast.
 """
 
 from __future__ import annotations
 
-import queue
+import selectors
 import socket
 import struct
 import threading
@@ -77,8 +94,9 @@ class DistributedConfig:
 
 @dataclass
 class EpochSnapshot:
-    """Central iterate at an epoch boundary plus the clock reading
-    (virtual ms under the simulated transport, wall ms under sockets)."""
+    """Central iterate at an epoch boundary plus the clock reading:
+    virtual ms under the simulated transport; under sockets, wall ms
+    since `run_distributed` was entered, the bootstrap epoch included."""
 
     epoch: int
     clock_ms: float
@@ -121,26 +139,21 @@ def run_distributed(model: LossModel, ds: Dataset, cfg: DistributedConfig,
                     ) -> DistributedResult:
     """Execute a distributed vrlite run to its epoch budget.
 
-    stop_when, evaluated on the central iterate at each snapshot, ends a
-    simulated run early (used by stepsize sweeps); it is not supported
-    under the socket transport. A non-finite central iterate always
-    stops the run and flags it diverged.
+    stop_when, evaluated on the central iterate at each snapshot, ends
+    the run early (used by stepsize sweeps) on either transport. A
+    non-finite central iterate always stops the run and flags it
+    diverged. A worker fault under the socket transport ends the run
+    with a RuntimeError whose __cause__ is the worker's exception.
     """
+    t0 = time.perf_counter()
     _validate(cfg, len(ds))
-    if stop_when is not None and cfg.transport == "socket":
-        raise ValueError("early stopping requires the simulated transport")
 
     p = cfg.workers
     shards = shard_dataset(ds, p, shard_rng(cfg.seed))
     wrngs = [optimizer_rng(cfg.seed, s) for s in range(p)]
-    speed = tuple(cfg.speed) if cfg.speed is not None else (1.0,) * p
 
     boot = vrlite_init(model, shards[0].dataset, cfg.eta, wrngs[0],
                        cfg.accum_grad)
-    sgd_evals = GRAD_EVALS_PER_SGD_STEP[cfg.accum_grad]
-    clock = (len(shards[0].dataset) * sgd_evals * cfg.step_cost / speed[0]
-             + cfg.latency)
-    snapshots = [EpochSnapshot(1, clock, boot.x.copy())]
     workers = [init_worker(s, boot.x, boot.averages.x_bar, boot.averages.g_bar)
                for s in range(p)]
     if cfg.mode == "sync":
@@ -149,20 +162,53 @@ def run_distributed(model: LossModel, ds: Dataset, cfg: DistributedConfig,
     else:
         central = central_async_state(ds.dimension, p)
 
-    diverged = not np.isfinite(boot.x).all()
-    stopped = diverged or (stop_when is not None and stop_when(boot.x))
+    def worker_loop(w):
+        s = w.worker_id
+        step = worker_sync_epoch if cfg.mode == "sync" else worker_async_epoch
+        for _ in range(2, cfg.epochs + 1):
+            w, msg = step(w, shards[s], model, cfg.eta, wrngs[s], cfg.accum_grad)
+            workers[s] = w
+            reply = yield msg
+            workers[s] = w = adopt_global_state(w, reply)
 
-    if not stopped and cfg.epochs > 1:
-        if cfg.transport == "sim":
+    if cfg.transport == "sim":
+        link = _Sim(cfg, shards, [worker_loop(w) for w in workers])
+    else:
+        hello = ProtocolMessage(MessageTag.GLOBAL_STATE, 0, 1, boot.x,
+                                boot.averages.x_bar, boot.averages.g_bar)
+        link = _Socket(cfg, worker_loop, hello, t0)
+
+    snapshots: list[EpochSnapshot] = []
+    diverged = False
+
+    def stop(epoch: int, x: np.ndarray) -> bool:
+        nonlocal diverged
+        snapshots.append(EpochSnapshot(epoch, link.clock(), x.copy()))
+        diverged = not np.isfinite(x).all()
+        return diverged or (stop_when is not None and stop_when(x))
+
+    if not stop(1, boot.x) and cfg.epochs > 1:
+        try:
+            link.open()
             if cfg.mode == "sync":
-                diverged = _sim_sync(model, shards, cfg, speed, wrngs, workers,
-                                     central, snapshots, clock, stop_when)
+                for epoch in range(2, cfg.epochs + 1):
+                    gmsg = central_sync_aggregate(link.gather(), p)
+                    central.x[:] = gmsg.v1
+                    central.x_bar[:] = gmsg.v2
+                    central.g_bar[:] = gmsg.v3
+                    central.reports_seen += 1
+                    if stop(epoch, central.x):
+                        break
+                    link.broadcast(gmsg)
             else:
-                diverged = _sim_async(model, shards, cfg, speed, wrngs, workers,
-                                      central, snapshots, clock, stop_when)
-        else:
-            diverged = _socket_run(model, shards, cfg, wrngs, workers, central,
-                                   snapshots, boot)
+                for k in range(1, p * (cfg.epochs - 1) + 1):
+                    key, msg = link.recv()
+                    _, reply = central_async_apply(central, msg)
+                    link.send(key, reply)
+                    if k % p == 0 and stop(1 + k // p, central.x):
+                        break
+        finally:
+            link.close()
 
     return DistributedResult(x=central.x.copy(), x_bar=central.x_bar.copy(),
                              g_bar=central.g_bar.copy(), central=central,
@@ -170,235 +216,224 @@ def run_distributed(model: LossModel, ds: Dataset, cfg: DistributedConfig,
                              diverged=diverged)
 
 
-def _sim_sync(model, shards, cfg, speed, wrngs, workers, central, snapshots,
-              clock, stop_when) -> bool:
-    p = cfg.workers
-    vr_evals = GRAD_EVALS_PER_VR_STEP[cfg.accum_grad]
-    for epoch in range(2, cfg.epochs + 1):
-        reports = []
-        costs = []
-        for s in range(p):
-            workers[s], msg = worker_sync_epoch(workers[s], shards[s], model,
-                                                cfg.eta, wrngs[s],
-                                                cfg.accum_grad)
-            reports.append(msg)
-            costs.append(len(shards[s].dataset) * vr_evals * cfg.step_cost
-                         / speed[s])
-        # Barrier: the round closes when the slowest report arrives, then
-        # the broadcast costs one more latency hop.
-        clock += max(costs) + 2.0 * cfg.latency
-        gmsg = central_sync_aggregate(reports, p)
-        central.x[:] = gmsg.v1
-        central.x_bar[:] = gmsg.v2
-        central.g_bar[:] = gmsg.v3
-        central.reports_seen += 1
-        for s in range(p):
-            workers[s] = adopt_global_state(workers[s], gmsg)
-        snapshots.append(EpochSnapshot(epoch, clock, gmsg.v1.copy()))
-        if not np.isfinite(gmsg.v1).all():
-            return True
-        if stop_when is not None and stop_when(gmsg.v1):
-            return False
-    return False
+class _Sim:
+    """In-process transport on a virtual clock. A worker's report lands
+    one local epoch of compute plus one latency hop after the worker
+    received its last state."""
+
+    def __init__(self, cfg: DistributedConfig, shards, loops):
+        p = cfg.workers
+        speed = tuple(cfg.speed) if cfg.speed is not None else (1.0,) * p
+        vr_evals = GRAD_EVALS_PER_VR_STEP[cfg.accum_grad]
+        sgd_evals = GRAD_EVALS_PER_SGD_STEP[cfg.accum_grad]
+        self.cost = [len(shards[s].dataset) * vr_evals * cfg.step_cost / speed[s]
+                     for s in range(p)]
+        self.latency = cfg.latency
+        # The bootstrap epoch on worker 0, then its broadcast hop.
+        self.now = (len(shards[0].dataset) * sgd_evals * cfg.step_cost
+                    / speed[0] + cfg.latency)
+        self.srng = scheduler_rng(cfg.seed)
+        self.loops = loops
+        self.pending: list[list] = []  # [ready_time, worker, report] in flight
+
+    def clock(self) -> float:
+        return self.now
+
+    def open(self):
+        self.broadcast(None)  # start every worker on the bootstrap state
+
+    def close(self):
+        pass
+
+    def _deliver(self, s: int, reply, arrival: float):
+        try:
+            msg = self.loops[s].send(reply)
+        except StopIteration:
+            return
+        self.pending.append([arrival + self.cost[s] + self.latency, s, msg])
+
+    def gather(self) -> list[ProtocolMessage]:
+        # The round closes when the slowest report arrives; the
+        # broadcast hop that follows is counted with it.
+        reports = [msg for _, _, msg in self.pending]
+        self.pending.clear()
+        self.now += max(self.cost) + 2.0 * self.latency
+        return reports
+
+    def broadcast(self, msg: ProtocolMessage):
+        for s in range(len(self.loops)):
+            self._deliver(s, msg, self.now)
+
+    def recv(self) -> tuple[int, ProtocolMessage]:
+        tmin = min(item[0] for item in self.pending)
+        tied = [k for k, item in enumerate(self.pending) if item[0] == tmin]
+        choice = (tied[int(self.srng.integers(len(tied)))] if len(tied) > 1
+                  else tied[0])
+        ready, s, msg = self.pending.pop(choice)
+        self.now = max(self.now, ready)
+        return s, msg
+
+    def send(self, s: int, msg: ProtocolMessage):
+        self._deliver(s, msg, self.now + self.latency)
 
 
-def _sim_async(model, shards, cfg, speed, wrngs, workers, central, snapshots,
-               clock, stop_when) -> bool:
-    p = cfg.workers
-    vr_evals = GRAD_EVALS_PER_VR_STEP[cfg.accum_grad]
-    srng = scheduler_rng(cfg.seed)
-
-    def compute_cost(s):
-        return len(shards[s].dataset) * vr_evals * cfg.step_cost / speed[s]
-
-    # (ready_time, worker, message) for reports in flight.
-    pending: list[list] = []
-    for s in range(p):
-        workers[s], msg = worker_async_epoch(workers[s], shards[s], model,
-                                             cfg.eta, wrngs[s], cfg.accum_grad)
-        pending.append([clock + compute_cost(s) + cfg.latency, s, msg])
-
-    applies = 0
-    now = clock
-    while pending:
-        tmin = min(item[0] for item in pending)
-        tied = [k for k, item in enumerate(pending) if item[0] == tmin]
-        choice = tied[int(srng.integers(len(tied)))] if len(tied) > 1 else tied[0]
-        ready, s, msg = pending.pop(choice)
-        now = max(now, ready)
-        _, reply = central_async_apply(central, msg)
-        applies += 1
-        arrival = now + cfg.latency
-        workers[s] = adopt_global_state(workers[s], reply)
-        if workers[s].epoch < cfg.epochs:
-            workers[s], nxt = worker_async_epoch(workers[s], shards[s], model,
-                                                 cfg.eta, wrngs[s],
-                                                 cfg.accum_grad)
-            pending.append([arrival + compute_cost(s) + cfg.latency, s, nxt])
-        if applies % p == 0:
-            epoch = 1 + applies // p
-            snapshots.append(EpochSnapshot(epoch, now, central.x.copy()))
-            if not np.isfinite(central.x).all():
-                return True
-            if stop_when is not None and stop_when(central.x):
-                return False
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Socket transport
-
-
-def _recv_exact(conn, nbytes: int) -> bytes | None:
-    """Read exactly nbytes; None on clean EOF at a frame boundary."""
-    chunks = []
-    got = 0
-    while got < nbytes:
-        chunk = conn.recv(nbytes - got)
-        if not chunk:
-            if got == 0:
-                return None
-            raise DecodeError("connection closed mid-frame", offset=got)
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
-def _read_frame(conn, expected_d: int) -> ProtocolMessage | None:
-    head = _recv_exact(conn, 4)
-    if head is None:
-        return None
-    (payload_len,) = struct.unpack("<I", head)
-    limit = 9 + 3 * 8 * expected_d
+def _frame_length(head: bytes, d: int) -> int:
+    """Payload length a frame's prefix declares, bounded by what a
+    frame of dimension d can hold."""
+    (payload_len,) = struct.unpack_from("<I", head)
+    limit = 9 + 3 * 8 * d
     if payload_len > limit:
         raise DecodeError(
             f"length mismatch: declared {payload_len} payload bytes, "
             f"connection allows at most {limit}", offset=0)
-    body = _recv_exact(conn, payload_len)
-    if body is None or len(body) != payload_len:
-        raise DecodeError("connection closed mid-frame", offset=4)
-    return decode_message(head + body, expected_d=expected_d)
+    return payload_len
 
 
-def _socket_run(model, shards, cfg, wrngs, workers, central, snapshots,
-                boot) -> bool:
-    """Run the configured rounds over localhost TCP. Returns the
-    diverged flag. Worker threads own their shard, rng and connection;
-    the central loop in this thread serializes every state change."""
-    p = cfg.workers
-    d = shards[0].dataset.dimension
-    epochs = cfg.epochs
-    errors: list[BaseException] = []
-    final_states: dict[int, object] = {}
+def _recv_exact(conn, nbytes: int) -> bytes:
+    """Read nbytes, or fewer if the peer closes first; the decoders
+    reject a short read as truncated."""
+    got = b""
+    while len(got) < nbytes:
+        chunk = conn.recv(nbytes - len(got))
+        if not chunk:
+            break
+        got += chunk
+    return got
 
-    listener = socket.create_server(("127.0.0.1", 0))
-    listener.settimeout(_SOCKET_TIMEOUT)
-    port = listener.getsockname()[1]
 
-    def worker_main(s: int):
+def _read_frame(conn, d: int) -> ProtocolMessage | None:
+    """Blocking read of one frame; None on a clean EOF before it."""
+    head = _recv_exact(conn, 4)
+    if not head:
+        return None
+    body = _recv_exact(conn, _frame_length(head, d)) if len(head) == 4 else b""
+    return decode_message(head + body, expected_d=d)
+
+
+class _Socket:
+    """Localhost TCP transport. Each worker thread owns its connection
+    and drives its worker generator; the central thread serializes every
+    state change and reads all connections through one selector."""
+
+    def __init__(self, cfg: DistributedConfig, worker_loop, hello, t0: float):
+        self.p = cfg.workers
+        self.d = hello.v1.shape[0]
+        self.reports = cfg.epochs - 1  # frames each worker sends in a full run
+        self.worker_loop = worker_loop
+        self.hello = hello
+        self.t0 = t0
+        self.threads: list[threading.Thread] = []
+        self.conns: list[socket.socket] = []
+        self.errors: list[Exception] = []
+        self.inbox: list[tuple[int, ProtocolMessage]] = []
+
+    def clock(self) -> float:
+        return (time.perf_counter() - self.t0) * 1000.0
+
+    def _worker(self, s: int, port: int):
         try:
-            conn = socket.create_connection(("127.0.0.1", port),
-                                            timeout=_SOCKET_TIMEOUT)
-            with conn:
-                conn.sendall(encode_handshake(d))
-                hello = _read_frame(conn, d)
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=_SOCKET_TIMEOUT) as conn:
+                conn.sendall(encode_handshake(self.d))
+                hello = _read_frame(conn, self.d)
                 if hello is None:
-                    raise RuntimeError(f"worker {s}: no initial broadcast")
-                w = init_worker(s, hello.v1, hello.v2, hello.v3)
-                step = (worker_sync_epoch if cfg.mode == "sync"
-                        else worker_async_epoch)
-                for _ in range(2, epochs + 1):
-                    w, msg = step(w, shards[s], model, cfg.eta, wrngs[s],
-                                  cfg.accum_grad)
+                    return
+                loop = self.worker_loop(init_worker(s, hello.v1, hello.v2,
+                                                    hello.v3))
+                reply = None
+                while True:
+                    try:
+                        msg = loop.send(reply)
+                    except StopIteration:
+                        return
                     conn.sendall(encode_message(msg))
-                    reply = _read_frame(conn, d)
-                    if reply is None:
-                        raise RuntimeError(f"worker {s}: central hung up")
-                    w = adopt_global_state(w, reply)
-                final_states[s] = w
-        except BaseException as exc:  # surfaced in the driver thread
-            errors.append(exc)
+                    reply = _read_frame(conn, self.d)
+                    if reply is None:  # the central ended the run
+                        return
+        except Exception as exc:  # re-raised as the run's cause by close()
+            self.errors.append(exc)
 
-    threads = [threading.Thread(target=worker_main, args=(s,), daemon=True)
-               for s in range(p)]
-    for t in threads:
-        t.start()
-
-    t0 = time.perf_counter()
-    diverged = False
-    conns = []
-    try:
-        with listener:
-            for _ in range(p):
+    def open(self):
+        self.selector = selectors.DefaultSelector()
+        self.buffers = [bytearray() for _ in range(self.p)]
+        self.frames = [0] * self.p
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(_SOCKET_TIMEOUT)
+            port = listener.getsockname()[1]
+            for s in range(self.p):
+                t = threading.Thread(target=self._worker, args=(s, port),
+                                     daemon=True)
+                t.start()
+                self.threads.append(t)
+            hello = encode_message(self.hello)
+            for i in range(self.p):
                 conn, _addr = listener.accept()
                 conn.settimeout(_SOCKET_TIMEOUT)
-                conns.append(conn)
-        hello = ProtocolMessage(MessageTag.GLOBAL_STATE, 0, 1, boot.x,
-                                boot.averages.x_bar, boot.averages.g_bar)
-        hello_bytes = encode_message(hello)
-        for conn in conns:
-            got = _recv_exact(conn, 9)
-            if got is None:
-                raise RuntimeError("worker disconnected before handshake")
-            if decode_handshake(got) != d:
-                raise DecodeError("handshake dimension disagrees with dataset",
-                                  offset=5)
-            conn.sendall(hello_bytes)
+                self.conns.append(conn)
+                if decode_handshake(_recv_exact(conn, 9)) != self.d:
+                    raise DecodeError("handshake dimension disagrees with "
+                                      "dataset", offset=5)
+                conn.sendall(hello)
+                self.selector.register(conn, selectors.EVENT_READ, i)
 
-        if cfg.mode == "sync":
-            for epoch in range(2, epochs + 1):
-                reports = [_read_frame(conn, d) for conn in conns]
-                if any(r is None for r in reports):
-                    raise RuntimeError("worker hung up before the barrier")
-                gmsg = central_sync_aggregate(reports, p)
-                central.x[:] = gmsg.v1
-                central.x_bar[:] = gmsg.v2
-                central.g_bar[:] = gmsg.v3
-                central.reports_seen += 1
-                out = encode_message(gmsg)
-                for conn in conns:
-                    conn.sendall(out)
-                clock = (time.perf_counter() - t0) * 1000.0
-                snapshots.append(EpochSnapshot(epoch, clock, gmsg.v1.copy()))
-                # Keep the protocol running to budget even when the
-                # iterate blows up; breaking here would strand workers.
-                diverged = diverged or not np.isfinite(gmsg.v1).all()
-        else:
-            inbox: queue.Queue = queue.Queue()
+    def _pump(self):
+        """Wait until some connection is readable and move every complete
+        frame it holds to the inbox."""
+        events = self.selector.select(_SOCKET_TIMEOUT)
+        if not events:
+            raise TimeoutError(f"no worker message in {_SOCKET_TIMEOUT:g} s")
+        for key, _ in events:
+            i = key.data
+            chunk = key.fileobj.recv(1 << 16)
+            buf = self.buffers[i]
+            buf += chunk
+            while len(buf) >= 4:
+                end = 4 + _frame_length(buf, self.d)
+                if len(buf) < end:
+                    break
+                self.inbox.append((i, decode_message(bytes(buf[:end]),
+                                                     expected_d=self.d)))
+                del buf[:end]
+                self.frames[i] += 1
+            if not chunk:
+                self.selector.unregister(key.fileobj)
+                if buf or self.frames[i] < self.reports:
+                    raise RuntimeError(f"worker connection {i} closed "
+                                       "before its last report")
 
-            def reader(idx: int, conn):
-                try:
-                    while True:
-                        msg = _read_frame(conn, d)
-                        if msg is None:
-                            return
-                        inbox.put((idx, msg))
-                except BaseException as exc:
-                    errors.append(exc)
+    def recv(self) -> tuple[int, ProtocolMessage]:
+        while not self.inbox:
+            self._pump()
+        return self.inbox.pop(0)
 
-            readers = [threading.Thread(target=reader, args=(i, c), daemon=True)
-                       for i, c in enumerate(conns)]
-            for t in readers:
-                t.start()
-            expected = p * (epochs - 1)
-            for k in range(expected):
-                idx, msg = inbox.get(timeout=_SOCKET_TIMEOUT)
-                _, reply = central_async_apply(central, msg)
-                conns[idx].sendall(encode_message(reply))
-                if (k + 1) % p == 0:
-                    epoch = 1 + (k + 1) // p
-                    clock = (time.perf_counter() - t0) * 1000.0
-                    snapshots.append(EpochSnapshot(epoch, clock,
-                                                   central.x.copy()))
-                    diverged = diverged or not np.isfinite(central.x).all()
-        for t in threads:
-            t.join(timeout=_SOCKET_TIMEOUT)
-    finally:
-        for conn in conns:
+    def send(self, i: int, msg: ProtocolMessage):
+        self.conns[i].sendall(encode_message(msg))
+
+    def gather(self) -> list[ProtocolMessage]:
+        # Each worker sends one report and then waits for the broadcast,
+        # so the next p frames are one round.
+        return [self.recv()[1] for _ in range(self.p)]
+
+    def broadcast(self, msg: ProtocolMessage):
+        frame = encode_message(msg)
+        for conn in self.conns:
+            conn.sendall(frame)
+
+    def close(self):
+        # After the half-close each worker sees EOF and hangs up; reading
+        # to that end leaves no worker blocked in a send nobody reads.
+        for conn in self.conns:
+            try:
+                conn.shutdown(socket.SHUT_WR)
+                while conn.recv(1 << 16):
+                    pass
+            except OSError:
+                pass  # the worker side is already gone
+        for t in self.threads:
+            t.join()
+        for conn in self.conns:
             conn.close()
-
-    if errors:
-        raise RuntimeError(f"distributed run aborted: {errors[0]!r}") from errors[0]
-    for s, w in final_states.items():
-        workers[s] = w
-    return diverged
+        self.selector.close()
+        if self.errors:
+            raise RuntimeError(f"distributed run aborted: "
+                               f"{self.errors[0]!r}") from self.errors[0]

@@ -215,13 +215,22 @@ def central_async_apply(c: CentralState, msg: ProtocolMessage,
     build the reply for the reporting worker. The state is updated in
     place and returned; callers running concurrently must serialize
     calls. Reply vectors are copies, so later applies never mutate a
-    reply already sent."""
+    reply already sent.
+
+    A worker's k-th delta must carry epoch k + 1 (its first distributed
+    epoch is 2). A replayed, duplicated or skipped delta would break the
+    invariant that the central triple is the mean of the latest reports,
+    so it is rejected before any state changes."""
     if msg.tag != MessageTag.ASYNC_DELTA:
         raise ProtocolError(f"expected ASYNC_DELTA, got {msg.tag!r}")
     if not 0 <= msg.worker_id < c.workers:
         raise ProtocolError(f"worker id {msg.worker_id} out of range")
     if msg.v1.shape != c.x.shape:
         raise ProtocolError("delta dimension does not match central state")
+    expected = int(c.reports_seen[msg.worker_id]) + 2
+    if msg.epoch != expected:
+        raise ProtocolError(f"delta from worker {msg.worker_id} carries epoch "
+                            f"{msg.epoch}, expected {expected}")
     c.x += c.alpha * msg.v1
     c.x_bar += c.alpha * msg.v2
     c.g_bar += c.alpha * msg.v3

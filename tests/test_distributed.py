@@ -269,6 +269,26 @@ def test_async_apply_validation():
                                     [0], [0], [0]))
 
 
+@pytest.mark.parametrize("epoch", [2, 4], ids=["replayed", "skipped"])
+def test_async_apply_rejects_out_of_sequence_delta(epoch):
+    """Worker 0 has sent its epoch-2 delta, so only epoch 3 is next. A
+    replay of epoch 2 or a jump to epoch 4 is refused and leaves the
+    central triple and the report counts exactly as they were."""
+    c = central_async_state(2, 2)
+    c, _ = central_async_apply(
+        c, _msg(MessageTag.ASYNC_DELTA, 0, 2, [1, 2], [3, 4], [5, 6]))
+    before = (c.x.copy(), c.x_bar.copy(), c.g_bar.copy(),
+              c.reports_seen.copy())
+    with pytest.raises(ProtocolError, match="expected 3"):
+        central_async_apply(
+            c, _msg(MessageTag.ASYNC_DELTA, 0, epoch, [1, 2], [3, 4], [5, 6]))
+    for got, want in zip((c.x, c.x_bar, c.g_bar, c.reports_seen), before):
+        np.testing.assert_array_equal(got, want)
+    c, _ = central_async_apply(
+        c, _msg(MessageTag.ASYNC_DELTA, 0, 3, [1, 2], [3, 4], [5, 6]))
+    assert c.reports_seen.tolist() == [2, 0]
+
+
 def test_async_central_equals_mean_of_latest_reports(small_problem):
     """After every worker's k-th report, the central triple equals the
     mean of the workers' k-th reported values, whatever the

@@ -162,19 +162,46 @@ def test_stop_when_ends_sim_runs_early(prob):
     assert not res.diverged
 
 
-def test_stop_when_rejected_on_socket(prob):
-    ds, m = prob
-    with pytest.raises(ValueError, match="simulated"):
-        run_distributed(m, ds, _cfg(transport="socket"), stop_when=lambda x: True)
+def _stop_on_call(k):
+    calls = []
+
+    def stop(x):
+        calls.append(None)
+        return len(calls) >= k
+    return stop
 
 
-@pytest.mark.parametrize("mode", ["sync", "async"])
-def test_divergence_flag_stops_the_run(reg_prob, mode):
+@pytest.mark.parametrize("case", ["stop_when", "diverging"])
+def test_socket_sync_stops_like_sim(prob, reg_prob, case):
+    """Both transports share one stop rule, so a sync socket run that
+    ends early, on stop_when or on a non-finite iterate, keeps exactly
+    the simulator's snapshots."""
+    if case == "stop_when":
+        (ds, m), eta, stop = prob, 0.05, (lambda: _stop_on_call(3))
+    else:
+        (ds, m), eta, stop = reg_prob, 100.0, (lambda: None)
+    sim, sock = [run_distributed(m, ds, _cfg(workers=2, epochs=12, eta=eta,
+                                             transport=t), stop_when=stop())
+                 for t in ("sim", "socket")]
+    assert len(sim.snapshots) < 12
+    assert sock.diverged == sim.diverged == (case == "diverging")
+    assert [s.epoch for s in sock.snapshots] == [s.epoch for s in sim.snapshots]
+    for a, b in zip(sock.snapshots, sim.snapshots):
+        assert a.x.tobytes() == b.x.tobytes()
+    assert sock.x.tobytes() == sim.x.tobytes()
+
+
+@pytest.mark.parametrize("transport,mode", [
+    ("sim", "sync"), ("sim", "async"), ("socket", "sync"), ("socket", "async")],
+    ids=["sync", "async", "socket-sync", "socket-async"])
+def test_divergence_flag_stops_the_run(reg_prob, transport, mode):
     ds, m = reg_prob
     res = run_distributed(m, ds, _cfg(mode=mode, workers=2, epochs=12,
-                                      eta=100.0))
+                                      eta=100.0, transport=transport))
     assert res.diverged
-    assert len(res.snapshots) <= 12
+    assert len(res.snapshots) < 12
+    assert not np.isfinite(res.snapshots[-1].x).all()
+    assert all(np.isfinite(s.x).all() for s in res.snapshots[:-1])
 
 
 def test_config_validation(prob):

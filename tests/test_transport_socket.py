@@ -1,9 +1,17 @@
 """Localhost TCP transport, checked against the simulated transport."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vrlite.data import SyntheticSpec, gen_gaussian_classification
+from vrlite.distributed import engine
 from vrlite.distributed.engine import DistributedConfig, run_distributed
 from vrlite.model import LossModel
 
@@ -79,8 +87,54 @@ def test_socket_clock_is_wall_time(prob):
     ds, m = prob
     res = run_distributed(m, ds, _cfg("socket", "sync", 2))
     clocks = [s.clock_ms for s in res.snapshots]
-    # The bootstrap snapshot predates the socket phase and carries the
-    # virtual cost; later snapshots are real elapsed milliseconds and
-    # must be nonnegative and ordered.
+    # Every snapshot, the bootstrap included, reads one clock: real
+    # milliseconds since run_distributed was entered.
     assert all(c >= 0.0 for c in clocks)
-    assert clocks[1:] == sorted(clocks[1:])
+    assert clocks == sorted(clocks)
+
+
+class _InjectedFault(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_worker_fault_surfaces_promptly_with_its_cause(prob, monkeypatch, mode):
+    ds, m = prob
+    name = f"worker_{mode}_epoch"
+    real = getattr(engine, name)
+    fault = _InjectedFault("worker 1 failed on purpose")
+
+    def faulty(w, *args, **kwargs):
+        if w.worker_id == 1 and w.epoch == 3:  # its third local epoch
+            raise fault
+        return real(w, *args, **kwargs)
+
+    monkeypatch.setattr(engine, name, faulty)
+    before = set(threading.enumerate())
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError) as info:
+        run_distributed(m, ds, _cfg("socket", mode, 2, epochs=8))
+    assert time.monotonic() - t0 < 5.0
+    assert info.value.__cause__ is fault
+    assert set(threading.enumerate()) <= before
+
+
+def test_async_socket_runs_leave_no_thread_alive(prob):
+    ds, m = prob
+    before = set(threading.enumerate())
+    for _ in range(20):
+        res = run_distributed(m, ds, _cfg("socket", "async", 2, epochs=5))
+        assert set(threading.enumerate()) <= before
+        assert res.central.reports_seen.tolist() == [4, 4]
+
+
+def test_socket_demo_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, str(root / "demos" / "socket_transport.py")],
+                         cwd=root, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "bit-identical" in out.stdout

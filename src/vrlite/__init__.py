@@ -17,7 +17,6 @@ from .model import (
 from .optim import (
     EpochAverages,
     OptState,
-    PermutationSampler,
     SagaState,
     initial_state,
     permutation,
@@ -55,7 +54,6 @@ __all__ = [
     "rel_grad_norm",
     "EpochAverages",
     "OptState",
-    "PermutationSampler",
     "SagaState",
     "initial_state",
     "permutation",

@@ -26,6 +26,7 @@ from .model import (
     objective,
 )
 from .optim import (
+    ACCUM_MODES,
     GRAD_EVALS_PER_SGD_STEP,
     GRAD_EVALS_PER_VR_STEP,
     initial_state,
@@ -88,6 +89,8 @@ class ExperimentConfig:
             raise ValueError("latency_ms must be >= 0")
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise ValueError("lambda must be finite and >= 0")
+        if self.accum_grad not in ACCUM_MODES:
+            raise ValueError(f"accum_grad must be one of {ACCUM_MODES}")
         known = ("toy-class", "toy-reg")
         if self.dataset not in known and not self.dataset.startswith("libsvm:"):
             raise ValueError(
@@ -191,72 +194,51 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_sequential(cfg, model, ds, rows, row) -> bool:
+    """One epoch loop for every sequential algorithm. Each algorithm
+    supplies the virtual cost of its set-up and a closure that runs
+    epoch k and returns the new iterate and that epoch's cost."""
     n = len(ds)
     rng = optimizer_rng(cfg.seed)
-    stop_at = cfg.stop_at_rel
+    eta, accum = cfg.eta, cfg.accum_grad
+    sgd_cost = n * GRAD_EVALS_PER_SGD_STEP[accum]
+    state = initial_state(ds.dimension)
+    x = state.x
     wall = 0.0
-    sgd_cost = n * GRAD_EVALS_PER_SGD_STEP[cfg.accum_grad]
-    vr_cost = n * GRAD_EVALS_PER_VR_STEP[cfg.accum_grad]
 
     if cfg.algo == "vrlite":
-        state = vrlite_init(model, ds, cfg.eta, rng, cfg.accum_grad)
-        wall += sgd_cost
-        r, ok = row(1, wall, state.x)
-        if not ok or not np.isfinite(state.x).all():
-            return True
-        rows.append(r)
-        if stop_at is not None and r.rel_grad_norm <= stop_at:
-            return False
-        for epoch in range(2, cfg.epochs + 1):
-            state = vrlite_epoch(state, model, ds, cfg.eta, rng, cfg.accum_grad)
-            wall += vr_cost
-            r, ok = row(epoch, wall, state.x)
-            if not ok or not np.isfinite(state.x).all():
-                return True
-            rows.append(r)
-            if stop_at is not None and r.rel_grad_norm <= stop_at:
-                return False
-        return False
+        def run_epoch(epoch):
+            nonlocal state
+            if epoch == 1:  # the bootstrap is a plain-SGD pass
+                state = vrlite_init(model, ds, eta, rng, accum)
+                return state.x, sgd_cost
+            state = vrlite_epoch(state, model, ds, eta, rng, accum)
+            return state.x, n * GRAD_EVALS_PER_VR_STEP[accum]
+    elif cfg.algo == "sgd":
+        def run_epoch(epoch):
+            nonlocal state
+            state = sgd_epoch(state, model, ds, eta, rng, accum)
+            return state.x, sgd_cost
+    elif cfg.algo == "svrg":
+        def run_epoch(epoch):
+            # snapshot pass plus 2n two-gradient steps
+            return svrg_epoch(x, model, ds, eta, rng), n + (2 * n) * 2
+    else:
+        table = saga_init(model, ds, x)
+        wall += n  # filling the table costs one gradient pass
 
-    if cfg.algo == "sgd":
-        state = initial_state(ds.dimension)
-        for epoch in range(1, cfg.epochs + 1):
-            state = sgd_epoch(state, model, ds, cfg.eta, rng, cfg.accum_grad)
-            wall += sgd_cost
-            r, ok = row(epoch, wall, state.x)
-            if not ok or not np.isfinite(state.x).all():
-                return True
-            rows.append(r)
-            if stop_at is not None and r.rel_grad_norm <= stop_at:
-                return False
-        return False
+        def run_epoch(epoch):
+            nonlocal table
+            x_new, table = saga_epoch(x, model, ds, table, eta, rng)
+            return x_new, n
 
-    if cfg.algo == "svrg":
-        x = np.zeros(ds.dimension)
-        epoch_cost = n + (2 * n) * 2  # snapshot pass plus 2n two-gradient steps
-        for epoch in range(1, cfg.epochs + 1):
-            x = svrg_epoch(x, model, ds, cfg.eta, rng)
-            wall += epoch_cost
-            r, ok = row(epoch, wall, x)
-            if not ok or not np.isfinite(x).all():
-                return True
-            rows.append(r)
-            if stop_at is not None and r.rel_grad_norm <= stop_at:
-                return False
-        return False
-
-    # saga
-    x = np.zeros(ds.dimension)
-    st = saga_init(model, ds, x)
-    wall += n  # filling the table costs one gradient pass
     for epoch in range(1, cfg.epochs + 1):
-        x, st = saga_epoch(x, model, ds, st, cfg.eta, rng)
-        wall += n
+        x, cost = run_epoch(epoch)
+        wall += cost
         r, ok = row(epoch, wall, x)
         if not ok or not np.isfinite(x).all():
             return True
         rows.append(r)
-        if stop_at is not None and r.rel_grad_norm <= stop_at:
+        if cfg.stop_at_rel is not None and r.rel_grad_norm <= cfg.stop_at_rel:
             return False
     return False
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..model import Dataset, LossModel
-from ..optim import EpochAverages, _run_vr_epoch, permutation
+from ..optim import EpochAverages, _epoch, permutation
 from .protocol import MessageTag, ProtocolMessage
 
 
@@ -85,12 +85,10 @@ def init_worker(worker_id: int, x: np.ndarray, x_bar: np.ndarray,
     baselines start at zero, so a worker's first async report carries
     its full local values."""
     d = x.shape[0]
-    zeros = EpochAverages.zeros(d)
-    averages = replace(zeros, x_bar=x_bar.copy(), g_bar=g_bar.copy())
     return WorkerState(
         worker_id=worker_id,
         x=x.copy(),
-        averages=averages,
+        averages=EpochAverages(x_bar.copy(), g_bar.copy(), 0),
         last_reported_x=np.zeros(d),
         last_reported_x_bar=np.zeros(d),
         last_reported_g_bar=np.zeros(d),
@@ -114,10 +112,14 @@ def central_async_state(d: int, p: int) -> CentralState:
 
 def _local_epoch(w: WorkerState, shard: Shard, model: LossModel, eta: float,
                  rng: np.random.Generator, accum_grad: str):
+    """One corrected epoch over the worker's own shard, in a fresh
+    permutation, anchored at the worker's current (x_bar, g_bar)."""
+    if w.worker_id != shard.worker_id:
+        raise ProtocolError(f"worker {w.worker_id} given shard of "
+                            f"worker {shard.worker_id}")
     order = permutation(len(shard.dataset), rng)
-    x, averages = _run_vr_epoch(model, shard.dataset, w.x, w.averages.x_bar,
-                                w.averages.g_bar, eta, order, accum_grad)
-    return x, averages
+    return _epoch(model, shard.dataset, w.x, order, eta,
+                  (w.averages.x_bar, w.averages.g_bar), accum_grad)
 
 
 def worker_sync_epoch(w: WorkerState, shard: Shard, model: LossModel, eta: float,
@@ -125,9 +127,6 @@ def worker_sync_epoch(w: WorkerState, shard: Shard, model: LossModel, eta: float
                       ) -> tuple[WorkerState, ProtocolMessage]:
     """Run one local epoch over the shard and report the resulting
     (x, x_bar, g_bar). Averages are over the shard's own length."""
-    if w.worker_id != shard.worker_id:
-        raise ProtocolError(f"worker {w.worker_id} given shard of "
-                            f"worker {shard.worker_id}")
     x, averages = _local_epoch(w, shard, model, eta, rng, accum_grad)
     new_w = replace(w, x=x, averages=averages, epoch=w.epoch + 1)
     msg = ProtocolMessage(MessageTag.SYNC_REPORT, w.worker_id, new_w.epoch,
@@ -141,9 +140,6 @@ def worker_async_epoch(w: WorkerState, shard: Shard, model: LossModel, eta: floa
     """Run one local epoch and report deltas against the previous
     report. The locally computed values become the new baseline before
     the central reply replaces the working copies."""
-    if w.worker_id != shard.worker_id:
-        raise ProtocolError(f"worker {w.worker_id} given shard of "
-                            f"worker {shard.worker_id}")
     x, averages = _local_epoch(w, shard, model, eta, rng, accum_grad)
     dx = x - w.last_reported_x
     dxb = averages.x_bar - w.last_reported_x_bar

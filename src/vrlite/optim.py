@@ -33,17 +33,15 @@ GRAD_EVALS_PER_SGD_STEP = {"post": 2, "reuse": 1}
 
 @dataclass
 class EpochAverages:
-    """Running epoch averages plus the raw accumulators behind them."""
+    """Mean iterate and mean step gradient of one epoch, and its step count."""
 
     x_bar: np.ndarray
     g_bar: np.ndarray
-    acc_x: np.ndarray
-    acc_g: np.ndarray
     steps: int
 
     @classmethod
     def zeros(cls, d: int) -> "EpochAverages":
-        return cls(np.zeros(d), np.zeros(d), np.zeros(d), np.zeros(d), 0)
+        return cls(np.zeros(d), np.zeros(d), 0)
 
 
 @dataclass
@@ -53,32 +51,13 @@ class OptState:
     x: np.ndarray
     averages: EpochAverages
     epoch_index: int
-    rng_seed: int | None = None
 
 
-@dataclass
-class PermutationSampler:
-    """One shuffled pass over indices 0..n-1, consumed at most once."""
-
-    order: np.ndarray
-    cursor: int = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> int:
-        if self.cursor >= self.order.shape[0]:
-            raise StopIteration
-        i = int(self.order[self.cursor])
-        self.cursor += 1
-        return i
-
-
-def permutation(n: int, rng: np.random.Generator) -> PermutationSampler:
+def permutation(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random permutation of 0..n-1 drawn from rng."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return PermutationSampler(order=rng.permutation(n))
+    return rng.permutation(n)
 
 
 def vr_step(x, grad_x, grad_ref, grad_avg, eta):
@@ -110,48 +89,47 @@ def _check_accum(accum_grad: str):
         raise ValueError(f"accum_grad must be one of {ACCUM_MODES}")
 
 
-def _run_vr_epoch(model, ds, x, x_bar, g_bar, eta, order, accum_grad):
-    """Inner vrlite epoch; returns (x, EpochAverages for this epoch)."""
+def _epoch(model, ds, x, order, eta, anchor=None, accum_grad=None):
+    """The one per-sample loop behind SGD, SVRG and vrlite, which differ
+    only in their anchor. With anchor = (x_ref, g_mean) each step moves
+    along grad_i(x) - grad_i(x_ref) + g_mean; with anchor None it is a
+    plain SGD step. accum_grad ("post" or "reuse") also accumulates the
+    epoch's averages; with None nothing is accumulated.
+
+    Returns (x, EpochAverages or None)."""
     logistic = model.kind == "logistic"
     lam2 = 2.0 * model.lam
+    accumulate = accum_grad is not None
     reuse = accum_grad == "reuse"
     F, L = ds.features, ds.labels
     acc_x = np.zeros_like(x)
     acc_g = np.zeros_like(x)
-    steps = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in order:
-            a = F[i]
-            b = L[i]
-            g_x = _row_grad(logistic, lam2, a, b, x)
-            g_ref = _row_grad(logistic, lam2, a, b, x_bar)
-            x = vr_step(x, g_x, g_ref, g_bar, eta)
-            acc_x += x
-            acc_g += g_x if reuse else _row_grad(logistic, lam2, a, b, x)
-            steps += 1
-    return x, EpochAverages(acc_x / steps, acc_g / steps, acc_x, acc_g, steps)
-
-
-def _run_sgd_epoch(model, ds, x, eta, order, accum_grad):
-    """Plain SGD epoch that maintains the same accumulators as the vr
-    epoch, so it can both bootstrap vrlite and serve as a fair baseline."""
-    logistic = model.kind == "logistic"
-    lam2 = 2.0 * model.lam
-    reuse = accum_grad == "reuse"
-    F, L = ds.features, ds.labels
-    acc_x = np.zeros_like(x)
-    acc_g = np.zeros_like(x)
-    steps = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in order:
             a = F[i]
             b = L[i]
             g = _row_grad(logistic, lam2, a, b, x)
-            x = x - eta * g
-            acc_x += x
-            acc_g += g if reuse else _row_grad(logistic, lam2, a, b, x)
-            steps += 1
-    return x, EpochAverages(acc_x / steps, acc_g / steps, acc_x, acc_g, steps)
+            if anchor is None:
+                x = x - eta * g
+            else:
+                g_ref = _row_grad(logistic, lam2, a, b, anchor[0])
+                x = vr_step(x, g, g_ref, anchor[1], eta)
+            if accumulate:
+                acc_x += x
+                acc_g += g if reuse else _row_grad(logistic, lam2, a, b, x)
+    if not accumulate:
+        return x, None
+    steps = len(order)
+    return x, EpochAverages(acc_x / steps, acc_g / steps, steps)
+
+
+def _permuted_epoch(model, ds, x, eta, rng, accum_grad, anchor, epoch_index):
+    """One without-replacement pass in a fresh permutation from rng."""
+    _check_eta(eta)
+    _check_accum(accum_grad)
+    order = permutation(len(ds), rng)
+    x, averages = _epoch(model, ds, x, order, eta, anchor, accum_grad)
+    return OptState(x=x, averages=averages, epoch_index=epoch_index)
 
 
 def initial_state(d: int) -> OptState:
@@ -168,25 +146,17 @@ def vrlite_init(model: LossModel, ds: Dataset, eta: float,
     evaluates it at the just-updated iterate (one extra gradient per
     step), "reuse" reuses the step gradient already in hand.
     """
-    _check_eta(eta)
-    _check_accum(accum_grad)
-    order = permutation(len(ds), rng)
-    x, averages = _run_sgd_epoch(model, ds, np.zeros(ds.dimension), eta, order,
-                                 accum_grad)
-    return OptState(x=x, averages=averages, epoch_index=1)
+    return _permuted_epoch(model, ds, np.zeros(ds.dimension), eta, rng,
+                           accum_grad, None, 1)
 
 
 def vrlite_epoch(state: OptState, model: LossModel, ds: Dataset, eta: float,
                  rng: np.random.Generator, accum_grad: str = "post") -> OptState:
     """One vrlite epoch: a full without-replacement pass in permutation
     order, corrected by the previous epoch's averages."""
-    _check_eta(eta)
-    _check_accum(accum_grad)
-    order = permutation(len(ds), rng)
-    x, averages = _run_vr_epoch(model, ds, state.x, state.averages.x_bar,
-                                state.averages.g_bar, eta, order, accum_grad)
-    return OptState(x=x, averages=averages, epoch_index=state.epoch_index + 1,
-                    rng_seed=state.rng_seed)
+    anchor = (state.averages.x_bar, state.averages.g_bar)
+    return _permuted_epoch(model, ds, state.x, eta, rng, accum_grad, anchor,
+                           state.epoch_index + 1)
 
 
 def sgd_epoch(state: OptState, model: LossModel, ds: Dataset, eta: float,
@@ -194,12 +164,8 @@ def sgd_epoch(state: OptState, model: LossModel, ds: Dataset, eta: float,
     """One plain-SGD epoch in permutation order. Keeps the same epoch
     accumulators as vrlite for fair instrumentation; they do not feed
     back into the updates."""
-    _check_eta(eta)
-    _check_accum(accum_grad)
-    order = permutation(len(ds), rng)
-    x, averages = _run_sgd_epoch(model, ds, state.x, eta, order, accum_grad)
-    return OptState(x=x, averages=averages, epoch_index=state.epoch_index + 1,
-                    rng_seed=state.rng_seed)
+    return _permuted_epoch(model, ds, state.x, eta, rng, accum_grad, None,
+                           state.epoch_index + 1)
 
 
 def svrg_epoch(x: np.ndarray, model: LossModel, ds: Dataset, eta: float,
@@ -218,17 +184,8 @@ def svrg_epoch(x: np.ndarray, model: LossModel, ds: Dataset, eta: float,
         raise ValueError("inner_steps must be >= 0")
     y = x.copy()
     g_full = full_gradient(model, ds, y)
-    idx = rng.integers(0, n, size=inner)
-    logistic = model.kind == "logistic"
-    lam2 = 2.0 * model.lam
-    F, L = ds.features, ds.labels
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in idx:
-            a = F[i]
-            b = L[i]
-            g_x = _row_grad(logistic, lam2, a, b, x)
-            g_ref = _row_grad(logistic, lam2, a, b, y)
-            x = vr_step(x, g_x, g_ref, g_full, eta)
+    x, _ = _epoch(model, ds, x, rng.integers(0, n, size=inner), eta,
+                  anchor=(y, g_full))
     return x
 
 

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import vrlite.bench as bench
+import vrlite.optim as optim
 from vrlite.bench import (
     CSV_HEADER,
     DEFAULT_GRID,
@@ -47,6 +49,7 @@ def test_config_validation():
         _cfg(lam=-1.0),
         _cfg(lam=float("inf")),
         _cfg(dataset="mnist"),
+        _cfg(accum_grad="bogus"),
     ]
     for cfg in bad:
         with pytest.raises(ValueError):
@@ -119,8 +122,14 @@ def test_metrics_match_direct_evaluation(toy_class):
     assert norm0 > 0
 
 
-def test_divergence_emits_no_nonfinite_rows():
-    res = run_experiment(_cfg(algo="sgd", dataset="toy-reg", eta=10.0,
+@pytest.mark.parametrize("algo,eta", [
+    ("sgd", 10.0),
+    ("svrg", 0.05),     # four finite epochs, then non-finite
+    ("saga", 1.0),
+    ("vrlite", 1.0),
+], ids=["sgd", "svrg", "saga", "vrlite"])
+def test_divergence_emits_no_nonfinite_rows(algo, eta):
+    res = run_experiment(_cfg(algo=algo, dataset="toy-reg", eta=eta,
                               epochs=8))
     assert res.diverged
     for r in res.rows:
@@ -128,13 +137,58 @@ def test_divergence_emits_no_nonfinite_rows():
     assert len(res.rows) < 9
 
 
-def test_stop_at_rel_ends_early():
-    full = run_experiment(_cfg(algo="vrlite", eta=0.05, epochs=12))
+@pytest.mark.parametrize("algo,eta", [
+    ("sgd", 0.0032),
+    ("svrg", 0.0128),
+    ("saga", 0.0032),
+    ("vrlite", 0.05),
+], ids=["sgd", "svrg", "saga", "vrlite"])
+def test_stop_at_rel_ends_early(algo, eta):
+    full = run_experiment(_cfg(algo=algo, eta=eta, epochs=12))
     target = full.rows[-1].rel_grad_norm * 10
-    stopped = run_experiment(_cfg(algo="vrlite", eta=0.05, epochs=12,
+    stopped = run_experiment(_cfg(algo=algo, eta=eta, epochs=12,
                                   stop_at_rel=target))
     assert len(stopped.rows) < len(full.rows)
     assert stopped.rows[-1].rel_grad_norm <= target
+
+
+EPOCH_FUNCS = ("vrlite_init", "vrlite_epoch", "sgd_epoch", "svrg_epoch",
+               "saga_epoch", "saga_init")
+
+
+@pytest.mark.parametrize("algo,expected", [
+    ("vrlite", {"vrlite_init": 1, "vrlite_epoch": 2}),
+    ("sgd", {"sgd_epoch": 3}),
+    ("svrg", {"svrg_epoch": 3}),
+    ("saga", {"saga_init": 1, "saga_epoch": 3}),
+], ids=["vrlite", "sgd", "svrg", "saga"])
+def test_epoch_functions_are_called_through_module_attributes(
+        monkeypatch, algo, expected):
+    """Per-layer tracing wraps the public epoch functions where the
+    package holds them. The sequential driver must call them through
+    vrlite.bench's attributes at call time, and no public epoch function
+    may call another, or traced call counts would be skewed."""
+    calls = dict.fromkeys(EPOCH_FUNCS, 0)
+    active = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            assert not active, f"{name} called inside {active[-1]}"
+            calls[name] += 1
+            active.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
+        return wrapper
+
+    for name in EPOCH_FUNCS:
+        wrapped = counting(name, getattr(optim, name))
+        monkeypatch.setattr(optim, name, wrapped)
+        monkeypatch.setattr(bench, name, wrapped)
+    res = run_experiment(_cfg(algo=algo, eta=1e-3, epochs=3))
+    assert [r.epoch for r in res.rows] == [0, 1, 2, 3]
+    assert calls == {**dict.fromkeys(EPOCH_FUNCS, 0), **expected}
 
 
 def test_distributed_rows_come_from_snapshots():

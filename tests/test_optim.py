@@ -11,6 +11,7 @@ from vrlite.model import (
 from vrlite.optim import (
     ACCUM_MODES,
     EpochAverages,
+    OptState,
     initial_state,
     permutation,
     saga_epoch,
@@ -34,18 +35,14 @@ def _single_sample_ridge():
 def test_permutation_covers_every_index():
     rng = np.random.default_rng(3)
     for n in (1, 2, 7, 64):
-        order = np.array(list(permutation(n, rng)))
+        order = permutation(n, rng)
+        assert isinstance(order, np.ndarray)
+        assert np.issubdtype(order.dtype, np.integer)
+        assert order.shape == (n,)
         assert sorted(order.tolist()) == list(range(n))
     assert list(permutation(1, rng)) == [0]
     with pytest.raises(ValueError):
         permutation(0, rng)
-
-
-def test_permutation_sampler_is_single_pass():
-    sampler = permutation(5, np.random.default_rng(0))
-    first = list(sampler)
-    assert len(first) == 5
-    assert list(sampler) == []
 
 
 def test_vr_step_hand_value():
@@ -193,6 +190,40 @@ def test_vrlite_trajectory_replays_from_public_api(tiny_class, accum):
     np.testing.assert_array_equal(st2.x, x)
     np.testing.assert_array_equal(st2.averages.x_bar, acc_x2 / len(ds))
     np.testing.assert_array_equal(st2.averages.g_bar, acc_g2 / len(ds))
+
+
+@pytest.mark.parametrize("accum", ACCUM_MODES)
+def test_sgd_epoch_replays_from_public_api(tiny_class, accum):
+    """sgd_epoch is the epoch kernel without an anchor. From a non-zero
+    state it must be bit-identical to a grad_sample loop over the same
+    permutation, and the carried averages must not enter the steps."""
+    ds, m = tiny_class
+    eta, seed = 0.05, 17
+    init_rng = np.random.default_rng(5)
+    d = ds.dimension
+    x0 = init_rng.standard_normal(d)
+    start = OptState(x=x0.copy(),
+                     averages=EpochAverages(init_rng.standard_normal(d),
+                                            init_rng.standard_normal(d), 3),
+                     epoch_index=4)
+    st = sgd_epoch(start, m, ds, eta, optimizer_rng(seed), accum_grad=accum)
+
+    replay_rng = optimizer_rng(seed)
+    x = x0.copy()
+    acc_x = np.zeros(d)
+    acc_g = np.zeros(d)
+    for i in replay_rng.permutation(len(ds)):
+        s = ds[int(i)]
+        g = grad_sample(m, s, x)
+        x = x - eta * g
+        acc_x += x
+        acc_g += g if accum == "reuse" else grad_sample(m, s, x)
+    np.testing.assert_array_equal(st.x, x)
+    np.testing.assert_array_equal(st.averages.x_bar, acc_x / len(ds))
+    np.testing.assert_array_equal(st.averages.g_bar, acc_g / len(ds))
+    assert st.averages.steps == len(ds)
+    assert st.epoch_index == 5
+    np.testing.assert_array_equal(start.x, x0)
 
 
 def test_epoch_averages_match_recorded_trajectory(tiny_ridge):

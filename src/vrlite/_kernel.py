@@ -1,0 +1,212 @@
+"""The compiled per-sample loops behind every optimizer.
+
+`_kernel.c` holds three functions: `dot`, the margin of every per-sample
+gradient; `epoch`, the loop of `optim._epoch` (SGD, SVRG and vrlite); and
+`saga_epoch`, the loop of `optim.saga_epoch`. On first import the source
+is compiled with gcc into this package's `__pycache__/`, under a name
+keyed by a CRC-32 of the source, the flags and the compiler (its resolved
+path, size and modification time, which change with its version). The
+file is written by atomic rename and ends in a CRC-32 seal over that key
+and its bytes; a cached file whose seal does not match (truncated, or
+built for another key) is rebuilt, never loaded. The checks guard
+against accidents, not tampering: whoever can write the cache can write
+the package too. A warm import starts no process. The library is loaded
+with `ctypes`, whose calls release the interpreter lock.
+
+When no gcc is on PATH or the build fails, `lib` is None, one
+RuntimeWarning says so, and the callers run their Python loops instead.
+Those take their margins from the Python `dot` below, which sums in the
+same order as the C loop, so both paths give the same bits.
+
+Every pointer handed to C comes from `vector`, `matrix`, `rows` or
+`indices`, which check length, shape, dtype, alignment, contiguity and
+index range first.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import shutil
+import tempfile
+import warnings
+import zlib
+
+import numpy as np
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+SOURCE = os.path.join(_HERE, "_kernel.c")
+CACHE_DIR = os.path.join(_HERE, "__pycache__")
+# No contraction into fused multiply-adds: each product and sum rounds on
+# its own, as it does in Python and NumPy.
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_ACCUM_CODES = {None: 0, "post": 1, "reuse": 2}
+
+_SEAL_BYTES = 4
+_P, _I64, _F64, _INT = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
+_SIGNATURES = {
+    "dot": (_F64, [_P, _P, _I64]),
+    "epoch": (None, [_P, _P, _P, _I64, _I64, _P, _P, _P, _INT, _F64, _F64, _INT,
+                     _P, _P, _P]),
+    "saga_epoch": (None, [_P, _P, _I64, _P, _I64, _I64, _P, _P, _P, _INT, _F64,
+                          _F64, _P]),
+}
+
+
+def _key(cc: str) -> str:
+    st = os.stat(cc)
+    compiler = f"{os.path.realpath(cc)} {st.st_size} {st.st_mtime_ns}"
+    with open(SOURCE, "rb") as f:
+        crc = zlib.crc32(f.read())
+    for part in (" ".join(FLAGS), compiler):
+        crc = zlib.crc32(part.encode(), crc)
+    return f"{crc:08x}"
+
+
+def _seal(key: str, body: bytes) -> bytes:
+    return zlib.crc32(body, zlib.crc32(key.encode())).to_bytes(_SEAL_BYTES, "little")
+
+
+def _verified(path: str, key: str) -> bool:
+    """True when path exists and its trailing seal matches key and body."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except FileNotFoundError:
+        return False
+    body, seal = data[:-_SEAL_BYTES], data[-_SEAL_BYTES:]
+    return len(data) > _SEAL_BYTES and seal == _seal(key, body)
+
+
+def _build(cc: str, key: str, path: str):
+    """Compile into a private temporary file, seal it, and rename it into
+    place, so a concurrent importer never sees a partial file."""
+    import subprocess  # here, so that a warm import does not pay for it
+
+    os.makedirs(CACHE_DIR, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix="_kernel-", suffix=".tmp", dir=CACHE_DIR)
+    os.close(fd)
+    try:
+        done = subprocess.run([cc, *FLAGS, "-o", tmp, SOURCE, "-lm"],
+                              capture_output=True, text=True)
+        if done.returncode:
+            raise OSError(f"{cc} failed: {done.stderr.strip()}")
+        with open(tmp, "rb") as f:
+            body = f.read()
+        with open(tmp, "ab") as f:
+            f.write(_seal(key, body))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _load() -> ctypes.CDLL:
+    cc = shutil.which("gcc")
+    if cc is None:
+        raise OSError("gcc is not on PATH")
+    key = _key(cc)
+    path = os.path.join(CACHE_DIR, f"_kernel-{key}.so")
+    if not _verified(path, key):
+        _build(cc, key, path)
+    dll = ctypes.CDLL(path)
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        fn = getattr(dll, name)
+        fn.restype, fn.argtypes = restype, argtypes
+    return dll
+
+
+try:
+    lib = _load()
+except OSError as exc:
+    lib = None
+    warnings.warn(f"vrlite: no compiled kernel ({exc}); the pure-Python loops "
+                  "run instead, with the same results, more slowly", RuntimeWarning)
+
+
+def vector(v, d: int, what: str, writable: bool = False) -> np.ndarray:
+    """v as an aligned C-contiguous float64 array of shape (d,). It is v
+    itself when v already is one; otherwise a copy, which the caller
+    writes back if C updated it."""
+    return matrix(v, (d,), what, writable)
+
+
+def matrix(a, shape: tuple, what: str, writable: bool = False) -> np.ndarray:
+    """a as an aligned C-contiguous float64 array of the given shape, as
+    in `vector`."""
+    a = np.asarray(a)
+    if a.shape != shape:
+        raise ValueError(f"dimension mismatch: {what} has shape {a.shape}, "
+                         f"expected {shape}")
+    flags = a.flags
+    if (a.dtype != np.float64 or not (flags.c_contiguous and flags.aligned)
+            or (writable and not flags.writeable)):
+        a = np.array(a, dtype=np.float64, order="C")
+    return a
+
+
+def rows(ds) -> tuple[np.ndarray, np.ndarray]:
+    """A dataset's (n, d) features and (n,) labels, checked as above."""
+    F = np.asarray(ds.features)
+    if F.ndim != 2:
+        raise ValueError(f"features have shape {F.shape}, expected (n, d)")
+    return matrix(F, F.shape, "features"), vector(ds.labels, F.shape[0], "labels")
+
+
+def indices(order, n: int) -> np.ndarray:
+    """order as a C-contiguous int64 array of row indices in [0, n)."""
+    order = np.asarray(order)
+    if order.ndim != 1 or order.dtype.kind not in "iu":
+        raise IndexError(f"sample order must be a 1-d integer array, got "
+                         f"dtype {order.dtype} and shape {order.shape}")
+    if order.size and (order.min() < 0 or order.max() >= n):
+        raise IndexError(f"sample index out of range for n={n}: "
+                         f"[{order.min()}, {order.max()}]")
+    return np.require(order, np.int64, ("C", "A"))
+
+
+def dot(a, x) -> float:
+    """Left-to-right sum of a[j] * x[j] from 0.0: the margin of every
+    per-sample gradient, in C when compiled and in Python floats
+    otherwise, with the same bits either way."""
+    a = np.asarray(a)
+    if a.ndim != 1:
+        raise ValueError(f"dot takes 1-d vectors, got shape {a.shape}")
+    a = vector(a, a.shape[0], "a")
+    x = vector(x, a.shape[0], "x")
+    if lib is None:
+        s = 0.0
+        for u, v in zip(a.tolist(), x.tolist()):
+            s += u * v
+        return s
+    return lib.dot(a.ctypes.data, x.ctypes.data, a.shape[0])
+
+
+def epoch(F, L, order, x, anchor, accum_grad, logistic: bool, lam2: float,
+          eta: float):
+    """The C loop of optim._epoch on checked arguments. Returns (x,
+    acc_x, acc_g): the last iterate, in a new array, and the sums of the
+    iterates and of the accumulated gradients over the steps."""
+    d = x.shape[0]
+    x = x.copy()
+    acc_x, acc_g, work = np.zeros(d), np.zeros(d), np.empty(2 * d)
+    x_ref, g_mean = (None, None) if anchor is None else (
+        anchor[0].ctypes.data, anchor[1].ctypes.data)
+    lib.epoch(F.ctypes.data, L.ctypes.data, order.ctypes.data, order.shape[0], d,
+              x.ctypes.data, x_ref, g_mean, int(logistic), lam2, eta,
+              _ACCUM_CODES[accum_grad], acc_x.ctypes.data, acc_g.ctypes.data,
+              work.ctypes.data)
+    return x, acc_x, acc_g
+
+
+def saga_epoch(F, L, order, x, table, mean, logistic: bool, lam2: float,
+               eta: float) -> np.ndarray:
+    """The C loop of optim.saga_epoch on checked arguments. table and
+    mean are updated in place; returns the last iterate in a new array."""
+    n, d = F.shape
+    x = x.copy()
+    work = np.empty(d)
+    lib.saga_epoch(F.ctypes.data, L.ctypes.data, n, order.ctypes.data,
+                   order.shape[0], d, x.ctypes.data, table.ctypes.data,
+                   mean.ctypes.data, int(logistic), lam2, eta, work.ctypes.data)
+    return x

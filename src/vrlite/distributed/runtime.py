@@ -163,7 +163,7 @@ def adopt_global_state(w: WorkerState, msg: ProtocolMessage) -> WorkerState:
     reply values. Delta baselines are untouched."""
     if msg.tag != MessageTag.GLOBAL_STATE:
         raise ProtocolError(f"expected GLOBAL_STATE, got {msg.tag!r}")
-    if msg.v1.shape != w.x.shape:
+    if not msg.v1.shape == msg.v2.shape == msg.v3.shape == w.x.shape:
         raise ProtocolError("global state dimension does not match worker")
     averages = replace(w.averages, x_bar=msg.v2, g_bar=msg.v3)
     return replace(w, x=msg.v1, averages=averages)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
+
 DEFAULT_LAMBDA = 1e-4
 
 TASKS = ("classification", "regression")
@@ -129,8 +131,9 @@ def _grad_coef(logistic: bool, margin: float, label: float) -> float:
 def _row_grad(logistic: bool, lam2: float, a: np.ndarray, label: float,
               x: np.ndarray) -> np.ndarray:
     """Per-sample gradient from raw rows; shared by grad_sample and the
-    optimizer inner loops so both produce bit-identical vectors."""
-    coef = _grad_coef(logistic, float(np.dot(a, x)), label)
+    optimizers' Python loops. Its margin is the kernel's sequential dot,
+    so it matches the compiled loops bit for bit."""
+    coef = _grad_coef(logistic, _kernel.dot(a, x), label)
     return coef * a + lam2 * x
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .model import Dataset, LossModel, _check_dim, _row_grad, _sigmoid_vec, full_gradient
 
 ACCUM_MODES = ("post", "reuse")
@@ -94,14 +95,32 @@ def _epoch(model, ds, x, order, eta, anchor=None, accum_grad=None):
     only in their anchor. With anchor = (x_ref, g_mean) each step moves
     along grad_i(x) - grad_i(x_ref) + g_mean; with anchor None it is a
     plain SGD step. accum_grad ("post" or "reuse") also accumulates the
-    epoch's averages; with None nothing is accumulated.
+    epoch's averages; with None nothing is accumulated. The loop runs in
+    the compiled kernel, or in `_epoch_py` when there is none; neither
+    writes to x or the anchor.
 
     Returns (x, EpochAverages or None)."""
-    logistic = model.kind == "logistic"
-    lam2 = 2.0 * model.lam
+    F, L = _kernel.rows(ds)
+    n, d = F.shape
+    order = _kernel.indices(order, n)
+    x = _kernel.vector(x, d, "x")
+    if anchor is not None:
+        anchor = (_kernel.vector(anchor[0], d, "x_bar"),
+                  _kernel.vector(anchor[1], d, "g_bar"))
+    run = _epoch_py if _kernel.lib is None else _kernel.epoch
+    x, acc_x, acc_g = run(F, L, order, x, anchor, accum_grad,
+                          model.kind == "logistic", 2.0 * model.lam, eta)
+    if accum_grad is None:
+        return x, None
+    steps = len(order)
+    return x, EpochAverages(acc_x / steps, acc_g / steps, steps)
+
+
+def _epoch_py(F, L, order, x, anchor, accum_grad, logistic, lam2, eta):
+    """`_kernel.epoch` in Python: the loop without a compiled kernel, and
+    the reference the tests hold the kernel to."""
     accumulate = accum_grad is not None
     reuse = accum_grad == "reuse"
-    F, L = ds.features, ds.labels
     acc_x = np.zeros_like(x)
     acc_g = np.zeros_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -117,10 +136,7 @@ def _epoch(model, ds, x, order, eta, anchor=None, accum_grad=None):
             if accumulate:
                 acc_x += x
                 acc_g += g if reuse else _row_grad(logistic, lam2, a, b, x)
-    if not accumulate:
-        return x, None
-    steps = len(order)
-    return x, EpochAverages(acc_x / steps, acc_g / steps, steps)
+    return x, acc_x, acc_g
 
 
 def _permuted_epoch(model, ds, x, eta, rng, accum_grad, anchor, epoch_index):
@@ -230,9 +246,25 @@ def saga_step(x: np.ndarray, i: int, model: LossModel, ds: Dataset,
 
 def saga_epoch(x: np.ndarray, model: LossModel, ds: Dataset, st: SagaState,
                eta: float, rng: np.random.Generator) -> tuple[np.ndarray, SagaState]:
-    """n SAGA steps with indices drawn uniformly with replacement."""
+    """n SAGA steps with indices drawn uniformly with replacement: the
+    saga_step loop, run in the compiled kernel when there is one."""
     _check_eta(eta)
-    n = len(ds)
-    for i in rng.integers(0, n, size=n):
-        x, st = saga_step(x, int(i), model, ds, st, eta)
+    F, L = _kernel.rows(ds)
+    n, d = F.shape
+    order = rng.integers(0, n, size=n)
+    x = _kernel.vector(x, d, "x")
+    table = _kernel.matrix(st.grad_table, (n, d), "grad_table", writable=True)
+    mean = _kernel.vector(st.table_mean, d, "table_mean", writable=True)
+    if _kernel.lib is None:
+        for i in order:
+            x, st = saga_step(x, int(i), model, ds, st, eta)
+        return x, st
+    x = _kernel.saga_epoch(F, L, order, x, table, mean, model.kind == "logistic",
+                           2.0 * model.lam, eta)
+    # Copies made to reach C's layout are written back: the state is
+    # updated in place, as by saga_step.
+    if table is not st.grad_table:
+        st.grad_table[...] = table
+    if mean is not st.table_mean:
+        st.table_mean[...] = mean
     return x, st

@@ -175,6 +175,12 @@ def test_adopt_global_state_validation():
     with pytest.raises(ProtocolError):
         adopt_global_state(w, _msg(MessageTag.GLOBAL_STATE, 0, 1,
                                    [0, 0, 0], [0, 0, 0], [0, 0, 0]))
+    with pytest.raises(ProtocolError):
+        adopt_global_state(w, _msg(MessageTag.GLOBAL_STATE, 0, 1,
+                                   [0, 0], [0, 0, 0], [0, 0]))
+    with pytest.raises(ProtocolError):
+        adopt_global_state(w, _msg(MessageTag.GLOBAL_STATE, 0, 1,
+                                   [0, 0], [0, 0], [0]))
 
 
 # ----------------------------------------------------------- central side

@@ -1,0 +1,413 @@
+"""The compiled kernel: same bits as the Python loops, guarded inputs, and
+a cache that survives races, damage and a missing compiler."""
+
+import contextlib
+import json
+import math
+import os
+import shutil
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vrlite import _kernel, optim
+from vrlite.distributed import engine
+from vrlite.distributed.engine import DistributedConfig, run_distributed
+from vrlite.model import Dataset, LossModel
+from vrlite.optim import (
+    EpochAverages,
+    OptState,
+    saga_epoch,
+    saga_init,
+    sgd_epoch,
+    svrg_epoch,
+    vrlite_epoch,
+    vrlite_init,
+)
+from vrlite.seeding import optimizer_rng
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+needs_lib = pytest.mark.skipif(_kernel.lib is None, reason="no compiled kernel")
+
+
+@contextlib.contextmanager
+def _python_kernel():
+    """Context in which the package runs its Python loops."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "lib", None)
+        yield
+
+
+def _both(run):
+    """run() with the compiled kernel, then with the Python loops."""
+    compiled = run()
+    with _python_kernel():
+        python = run()
+    return compiled, python
+
+
+def _assert_same(a, b):
+    for u, v in zip(a, b, strict=True):
+        np.testing.assert_array_equal(u, v)
+
+
+# ------------------------------------------------ compiled == fallback
+
+
+def _vrlite_run(ds, m, eta, accum, epochs=3, seed=3):
+    rng = optimizer_rng(seed)
+    st = vrlite_init(m, ds, eta, rng, accum_grad=accum)
+    out = [st.x, st.averages.x_bar, st.averages.g_bar]
+    for _ in range(epochs - 1):
+        st = vrlite_epoch(st, m, ds, eta, rng, accum_grad=accum)
+        out += [st.x, st.averages.x_bar, st.averages.g_bar]
+    return out
+
+
+def _sgd_run(ds, m, eta, accum, epochs=3, seed=3):
+    rng = optimizer_rng(seed)
+    st = OptState(np.full(ds.dimension, 0.1), EpochAverages.zeros(ds.dimension), 0)
+    out = []
+    for _ in range(epochs):
+        st = sgd_epoch(st, m, ds, eta, rng, accum_grad=accum)
+        out += [st.x, st.averages.x_bar, st.averages.g_bar]
+    return out
+
+
+def _svrg_run(ds, m, eta, epochs=3, seed=3):
+    rng = optimizer_rng(seed)
+    x, out = np.zeros(ds.dimension), []
+    for _ in range(epochs):
+        x = svrg_epoch(x, m, ds, eta, rng)
+        out.append(x)
+    return out
+
+
+def _saga_run(ds, m, eta, epochs=3, seed=3):
+    rng = optimizer_rng(seed)
+    x = np.zeros(ds.dimension)
+    st = saga_init(m, ds, x)
+    out = []
+    for _ in range(epochs):
+        x, st = saga_epoch(x, m, ds, st, eta, rng)
+        out += [x, st.grad_table.copy(), st.table_mean.copy()]
+    return out
+
+
+PROBLEMS = ["tiny_class", "tiny_ridge"]
+
+
+@needs_lib
+@pytest.mark.parametrize("problem", PROBLEMS)
+@pytest.mark.parametrize("accum", ["post", "reuse"])
+@pytest.mark.parametrize("algo", ["vrlite", "sgd"])
+def test_compiled_equals_fallback_with_accumulators(request, problem, accum, algo):
+    ds, m = request.getfixturevalue(problem)[:2]
+    run = {"vrlite": _vrlite_run, "sgd": _sgd_run}[algo]
+    _assert_same(*_both(lambda: run(ds, m, 0.02, accum)))
+
+
+@needs_lib
+@pytest.mark.parametrize("problem", PROBLEMS)
+@pytest.mark.parametrize("algo", ["svrg", "saga"])
+def test_compiled_equals_fallback_svrg_saga(request, problem, algo):
+    ds, m = request.getfixturevalue(problem)[:2]
+    run = {"svrg": _svrg_run, "saga": _saga_run}[algo]
+    _assert_same(*_both(lambda: run(ds, m, 0.02)))
+
+
+@needs_lib
+def test_compiled_equals_fallback_sim_sync(tiny_class):
+    ds, m = tiny_class
+    cfg = DistributedConfig(mode="sync", workers=2, epochs=4, eta=0.02, seed=5)
+
+    def run():
+        res = run_distributed(m, ds, cfg)
+        return [s.x for s in res.snapshots] + [res.x, res.x_bar, res.g_bar]
+
+    compiled, python = _both(run)
+    assert len(compiled) == len(python) == 4 + 3
+    _assert_same(compiled, python)
+
+
+@needs_lib
+def test_compiled_equals_fallback_diverging(tiny_ridge):
+    # eta = 100 on the ridge problem overflows within the first epochs of
+    # every method; inf and nan must land in the same places on both paths.
+    ds, m = tiny_ridge[:2]
+    runs = (lambda: _vrlite_run(ds, m, 100.0, "post", epochs=4),
+            lambda: _sgd_run(ds, m, 100.0, "reuse"),
+            lambda: _svrg_run(ds, m, 100.0),
+            lambda: _saga_run(ds, m, 100.0))
+    for run in runs:
+        compiled, python = _both(run)
+        assert not np.isfinite(compiled[-1]).all()
+        _assert_same(compiled, python)
+
+
+_reals = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@needs_lib
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 48).flatmap(
+    lambda d: st.tuples(st.lists(_reals, min_size=d, max_size=d),
+                        st.lists(_reals, min_size=d, max_size=d),
+                        st.integers(-300, 300))))
+def test_compiled_dot_equals_python_dot(case):
+    a, x, scale = case
+    # Rescaling by a power of two keeps every value exact but moves the
+    # products across the whole exponent range, overflow included.
+    with np.errstate(over="ignore"):
+        a = np.ldexp(np.array(a, dtype=np.float64), scale)
+    x = np.array(x, dtype=np.float64)
+    compiled = _kernel.dot(a, x)
+    with _python_kernel():
+        python = _kernel.dot(a, x)
+    assert isinstance(compiled, float) and isinstance(python, float)
+    if math.isnan(python):
+        assert math.isnan(compiled)
+    else:
+        assert np.float64(compiled).tobytes() == np.float64(python).tobytes()
+
+
+# ----------------------------------------------------- input guards
+
+
+@pytest.fixture(params=["compiled", "python"])
+def kernel(request):
+    if request.param == "compiled" and _kernel.lib is None:
+        pytest.skip("no compiled kernel")
+    if request.param == "python":
+        with _python_kernel():
+            yield request.param
+    else:
+        yield request.param
+
+
+def _small():
+    ds = Dataset(np.arange(12.0).reshape(4, 3) / 10.0, [1.0, -1.0, 1.0, -1.0],
+                 "classification")
+    return ds, LossModel("logistic", 1e-3)
+
+
+def test_epoch_rejects_wrong_lengths_and_leaves_inputs_alone(kernel):
+    ds, m = _small()
+    x, xb, gb = np.full(3, 0.5), np.full(3, 0.25), np.full(3, -0.125)
+    keep = [x.copy(), xb.copy(), gb.copy()]
+    order = np.arange(4)
+    for bad in (np.ones(2), np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            optim._epoch(m, ds, bad, order, 0.1, (xb, gb), "post")
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            optim._epoch(m, ds, x, order, 0.1, (bad, gb), "post")
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            optim._epoch(m, ds, x, order, 0.1, (xb, bad), "post")
+    state = OptState(np.ones(4), EpochAverages.zeros(3), 1)
+    with pytest.raises(ValueError):
+        vrlite_epoch(state, m, ds, 0.1, optimizer_rng(0))
+    with pytest.raises(ValueError):
+        sgd_epoch(state, m, ds, 0.1, optimizer_rng(0))
+    with pytest.raises(ValueError):
+        svrg_epoch(np.ones(5), m, ds, 0.1, optimizer_rng(0))
+    out, avg = optim._epoch(m, ds, x, order, 0.1, (xb, gb), "post")
+    assert np.isfinite(out).all() and not np.array_equal(out, x)
+    _assert_same([x, xb, gb], keep)
+
+
+def test_epoch_rejects_bad_order(kernel):
+    ds, m = _small()
+    x = np.zeros(3)
+    for order in ([0, 1, 4], [0, -1], [2**40], np.array([0.0, 1.0]),
+                  np.array([True, False]), np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises((IndexError, ValueError)):
+            optim._epoch(m, ds, x, np.asarray(order), 0.1)
+    np.testing.assert_array_equal(x, np.zeros(3))
+    out, _ = optim._epoch(m, ds, x, np.array([3, 0, 3], dtype=np.uint8), 0.1)
+    assert np.isfinite(out).all()
+
+
+def test_saga_rejects_wrong_shapes_and_keeps_x(kernel):
+    ds, m = _small()
+    x = np.full(3, 0.5)
+    good = saga_init(m, ds, x)
+    for table, mean in ((np.zeros((4, 2)), np.zeros(2)), (np.zeros((3, 3)), np.zeros(3)),
+                        (np.zeros((4, 3)), np.zeros(4)), (np.zeros(12), np.zeros(3))):
+        st_bad = optim.SagaState(table, mean)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            saga_epoch(x, m, ds, st_bad, 0.1, optimizer_rng(0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        saga_epoch(np.ones(4), m, ds, good, 0.1, optimizer_rng(0))
+    before = (good.grad_table.copy(), good.table_mean.copy())
+    out, st = saga_epoch(x, m, ds, good, 0.1, optimizer_rng(0))
+    assert st is good and not np.array_equal(good.grad_table, before[0])
+    np.testing.assert_array_equal(x, np.full(3, 0.5))
+
+
+def test_saga_updates_non_contiguous_state_in_place(kernel):
+    # A table that is not C-contiguous float64 goes to C as a copy and is
+    # written back, so the caller's arrays hold the result, as after a
+    # saga_step loop.
+    ds, m = _small()
+    x = np.full(3, 0.5)
+    ref = saga_init(m, ds, x)
+    odd = optim.SagaState(np.asfortranarray(ref.grad_table), ref.table_mean.copy())
+    table = odd.grad_table
+    want, ref = saga_epoch(x, m, ds, ref, 0.1, optimizer_rng(2))
+    got, odd = saga_epoch(x, m, ds, odd, 0.1, optimizer_rng(2))
+    assert odd.grad_table is table
+    _assert_same([got, odd.grad_table, odd.table_mean],
+                 [want, ref.grad_table, ref.table_mean])
+
+
+def test_dot_rejects_mismatched_vectors(kernel):
+    with pytest.raises(ValueError):
+        _kernel.dot(np.ones(3), np.ones(4))
+    with pytest.raises(ValueError):
+        _kernel.dot(np.ones((2, 2)), np.ones((2, 2)))
+    assert _kernel.dot(np.arange(3.0), np.arange(3.0)) == 5.0
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_socket_worker_with_wrong_dimension_state_fails_promptly(monkeypatch, mode):
+    ds, m = _small()
+    real = engine.adopt_global_state
+
+    def shrinking(w, msg):
+        w = real(w, msg)
+        if w.worker_id == 1:
+            w.averages = EpochAverages(w.averages.x_bar[:-1], w.averages.g_bar, 0)
+        return w
+
+    monkeypatch.setattr(engine, "adopt_global_state", shrinking)
+    before = set(threading.enumerate())
+    cfg = DistributedConfig(mode=mode, workers=2, epochs=6, eta=0.05, seed=1,
+                            transport="socket")
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError) as info:
+        run_distributed(m, ds, cfg)
+    assert time.monotonic() - t0 < 5.0
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "dimension mismatch" in str(info.value.__cause__)
+    assert set(threading.enumerate()) <= before
+
+
+# --------------------------------------------------- build and cache
+
+CHILD = """
+import json, shutil, sys, warnings
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    import numpy as np
+    from vrlite import _kernel
+    from vrlite.data import SyntheticSpec, gen_gaussian_classification
+    from vrlite.model import LossModel
+    from vrlite.optim import vrlite_epoch, vrlite_init
+    ds = gen_gaussian_classification(SyntheticSpec(n=200, d=6, seed=3))
+    m = LossModel("logistic", 1e-4)
+    rng = np.random.default_rng(0)
+    st = vrlite_epoch(vrlite_init(m, ds, 0.05, rng), m, ds, 0.05, rng)
+print(json.dumps({
+    "compiled": _kernel.lib is not None,
+    "path": None if _kernel.lib is None else _kernel.lib._name,
+    "sealed": _kernel.lib is not None and _kernel._verified(
+        _kernel.lib._name, _kernel._key(shutil.which("gcc"))),
+    "warnings": [str(w.message) for w in caught if w.category is RuntimeWarning],
+    "x": st.x.tobytes().hex(),
+    "dot": _kernel.dot(np.ones(3), np.ones(3)),
+}))
+"""
+
+
+def _copy_package(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(SRC / "vrlite", src / "vrlite",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _child(src, path=None):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    if path is not None:
+        env["PATH"] = path
+    return subprocess.Popen([sys.executable, "-c", CHILD], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _result(proc):
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return json.loads(out.splitlines()[-1])
+
+
+def _cache_files(src):
+    return sorted(p.name for p in (src / "vrlite" / "__pycache__").iterdir()
+                  if p.name.startswith("_kernel"))
+
+
+@pytest.fixture(scope="module")
+def reference_x():
+    """The child's run in this process's package, as hex of x's bytes."""
+    return _result(_child(SRC))["x"]
+
+
+@needs_gcc
+def test_concurrent_first_imports_share_one_cache_file(tmp_path, reference_x):
+    src = _copy_package(tmp_path)
+    procs = [_child(src), _child(src)]
+    results = [_result(p) for p in procs]
+    files = _cache_files(src)
+    assert len(files) == 1 and files[0].endswith(".so")
+    for r in results:
+        assert r["compiled"] and r["sealed"] and r["warnings"] == []
+        assert Path(r["path"]).name == files[0]
+        assert r["x"] == reference_x
+
+
+@needs_gcc
+def test_damaged_cache_file_is_rebuilt_not_loaded(tmp_path, reference_x):
+    src = _copy_package(tmp_path)
+    first = _result(_child(src))
+    so = Path(first["path"])
+    assert first["sealed"]
+    good = so.read_bytes()
+
+    so.write_bytes(good[: len(good) // 2])  # truncated
+    again = _result(_child(src))
+    assert again["compiled"] and again["sealed"] and again["warnings"] == []
+    assert again["dot"] == 3.0 and again["x"] == reference_x
+
+    # A working library built from other source, sealed for another key,
+    # sits under the right name: its dot returns 42.
+    fake_c = tmp_path / "fake.c"
+    fake_c.write_text((SRC / "vrlite" / "_kernel.c").read_text().replace(
+        "return seq_dot(a, x, d);", "return 42.0;"))
+    fake_so = tmp_path / "fake.so"
+    subprocess.run(["gcc", *_kernel.FLAGS, "-o", str(fake_so), str(fake_c), "-lm"],
+                   check=True)
+    body = fake_so.read_bytes()
+    so.write_bytes(body + _kernel._seal("another key", body))
+    assert not _kernel._verified(str(so), so.stem.split("-")[1])
+    again = _result(_child(src))
+    assert again["compiled"] and again["sealed"] and again["warnings"] == []
+    assert again["dot"] == 3.0 and again["x"] == reference_x
+    assert _cache_files(src) == [so.name]
+
+
+def test_no_compiler_falls_back_with_one_warning_and_same_bits(tmp_path, reference_x):
+    src = _copy_package(tmp_path)
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    r = _result(_child(src, path=str(empty)))
+    assert not r["compiled"]
+    assert len(r["warnings"]) == 1 and "gcc is not on PATH" in r["warnings"][0]
+    assert r["x"] == reference_x
+    assert not (src / "vrlite" / "__pycache__").exists() or _cache_files(src) == []

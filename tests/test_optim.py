@@ -304,6 +304,30 @@ def test_svrg_inner_steps_zero_returns_input():
     np.testing.assert_array_equal(out, x0)
 
 
+@pytest.mark.parametrize("toy", ["toy_class", "toy_ridge"])
+def test_saga_epoch_replays_from_public_api(request, toy):
+    """saga_epoch must be bit-identical to a saga_step loop over the same
+    rng.integers stream, in the iterate and in the whole table state."""
+    ds, m = request.getfixturevalue(toy)[:2]
+    eta, seed = 1e-3, 41
+    x0 = np.linspace(-0.2, 0.2, ds.dimension)
+    st = saga_init(m, ds, x0)
+    ref = saga_init(m, ds, x0)
+    rng = optimizer_rng(seed)
+    x, st = saga_epoch(x0, m, ds, st, eta, rng)
+    x, st = saga_epoch(x, m, ds, st, eta, rng)
+
+    replay = optimizer_rng(seed)
+    y = x0
+    for _ in range(2):
+        for i in replay.integers(0, len(ds), size=len(ds)):
+            y, ref = saga_step(y, int(i), m, ds, ref, eta)
+    np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(st.grad_table, ref.grad_table)
+    np.testing.assert_array_equal(st.table_mean, ref.table_mean)
+    np.testing.assert_array_equal(x0, np.linspace(-0.2, 0.2, ds.dimension))
+
+
 def test_saga_single_sample_is_gradient_descent():
     # With n=1 the table entry cancels against the running mean, so each
     # step is exact gradient descent on the one sample.

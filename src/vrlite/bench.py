@@ -85,8 +85,8 @@ class ExperimentConfig:
             raise ValueError("epochs must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.latency_ms < 0:
-            raise ValueError("latency_ms must be >= 0")
+        if not (self.latency_ms >= 0 and math.isfinite(self.latency_ms)):
+            raise ValueError("latency_ms must be finite and >= 0")
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise ValueError("lambda must be finite and >= 0")
         if self.accum_grad not in ACCUM_MODES:
@@ -149,13 +149,6 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[Dataset, LossModel]:
     return ds, LossModel(kind, cfg.lam)
 
 
-def _metrics(model, ds, x, norm0):
-    with np.errstate(over="ignore", invalid="ignore"):
-        obj = objective(model, ds, x)
-        rel = float(np.linalg.norm(full_gradient(model, ds, x)) / norm0)
-    return obj, rel
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the configured optimizer for the epoch budget, recording one
     row per epoch (epoch 0 is the all-zeros starting point). On a
@@ -171,20 +164,42 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if norm0 == 0.0:
         raise ValueError("gradient at the zero iterate is zero; nothing to run")
 
-    def row(epoch, wall, x):
-        obj, rel = _metrics(model, ds, x, norm0)
-        return MetricsRow(cfg.algo, cfg.mode, cfg.workers, epoch, wall, obj,
-                          rel, cfg.eta, cfg.seed), math.isfinite(obj) and math.isfinite(rel)
-
-    first, _ = row(0, 0.0, x0)
-    rows = [first]
+    rows: list[MetricsRow] = []
     diverged = False
 
-    if cfg.epochs > 0:
-        if cfg.mode == "seq":
-            diverged = _run_sequential(cfg, model, ds, rows, row)
-        else:
-            diverged = _run_distributed_rows(cfg, model, ds, rows, row, norm0)
+    def record(epoch: int, wall: float, x: np.ndarray) -> bool:
+        """Append the row for iterate x; True ends the run. A non-finite
+        iterate or metric adds no row, except at epoch 0 (the CLI reports
+        the last row), and flags the run diverged."""
+        nonlocal diverged
+        with np.errstate(over="ignore", invalid="ignore"):
+            obj = objective(model, ds, x)
+            rel = float(np.linalg.norm(full_gradient(model, ds, x)) / norm0)
+        diverged = not (math.isfinite(obj) and math.isfinite(rel)
+                        and np.isfinite(x).all())
+        if not diverged or epoch == 0:
+            rows.append(MetricsRow(cfg.algo, cfg.mode, cfg.workers, epoch,
+                                   wall, obj, rel, cfg.eta, cfg.seed))
+        return diverged or (cfg.stop_at_rel is not None
+                            and rel <= cfg.stop_at_rel)
+
+    record(0, 0.0, x0)  # the starting point never ends the run
+    if cfg.epochs > 0 and cfg.mode == "seq":
+        _run_sequential(cfg, model, ds, record)
+    elif cfg.epochs > 0:
+        dcfg = DistributedConfig(
+            mode=cfg.mode,
+            workers=cfg.workers,
+            epochs=cfg.epochs,
+            eta=cfg.eta,
+            seed=cfg.seed,
+            transport=cfg.transport,
+            latency=cfg.latency_ms,
+            accum_grad=cfg.accum_grad,
+        )
+        res = run_distributed(model, ds, dcfg, stop_when=lambda snap: record(
+            snap.epoch, snap.clock_ms, snap.x))
+        diverged = diverged or res.diverged
 
     result = ExperimentResult(rows=rows, diverged=diverged, eta=cfg.eta,
                               config=cfg)
@@ -193,7 +208,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _run_sequential(cfg, model, ds, rows, row) -> bool:
+def _run_sequential(cfg, model, ds, record):
     """One epoch loop for every sequential algorithm. Each algorithm
     supplies the virtual cost of its set-up and a closure that runs
     epoch k and returns the new iterate and that epoch's cost."""
@@ -234,43 +249,8 @@ def _run_sequential(cfg, model, ds, rows, row) -> bool:
     for epoch in range(1, cfg.epochs + 1):
         x, cost = run_epoch(epoch)
         wall += cost
-        r, ok = row(epoch, wall, x)
-        if not ok or not np.isfinite(x).all():
-            return True
-        rows.append(r)
-        if cfg.stop_at_rel is not None and r.rel_grad_norm <= cfg.stop_at_rel:
-            return False
-    return False
-
-
-def _run_distributed_rows(cfg, model, ds, rows, row, norm0) -> bool:
-    stop_at = cfg.stop_at_rel
-    stop_when = None
-    if stop_at is not None:
-        def stop_when(x):
-            with np.errstate(over="ignore", invalid="ignore"):
-                rel = float(np.linalg.norm(full_gradient(model, ds, x)) / norm0)
-            return math.isfinite(rel) and rel <= stop_at
-
-    dcfg = DistributedConfig(
-        mode=cfg.mode,
-        workers=cfg.workers,
-        epochs=cfg.epochs,
-        eta=cfg.eta,
-        seed=cfg.seed,
-        transport=cfg.transport,
-        latency=cfg.latency_ms,
-        accum_grad=cfg.accum_grad,
-    )
-    result = run_distributed(model, ds, dcfg, stop_when=stop_when)
-    diverged = result.diverged
-    for snap in result.snapshots:
-        r, ok = row(snap.epoch, snap.clock_ms, snap.x)
-        if not ok:
-            diverged = True
-            break
-        rows.append(r)
-    return diverged
+        if record(epoch, wall, x):
+            return
 
 
 def epochs_to_target(rows: list[MetricsRow], target: float) -> int | None:

@@ -16,9 +16,12 @@ A transport moves reports and replies between the two:
   ready at the same instant a seeded scheduler picks the next one
   uniformly, so runs and their reported times are fully deterministic.
 - `_Socket` gives each worker a thread that drives its generator over a
-  localhost TCP connection with the binary frame codec, while the
-  central thread reads every connection through one selector. On exit
-  it half-closes every connection, reads each to its end, joins every
+  localhost TCP connection. Every frame, on either side, is read by
+  `protocol.read_message`. The central thread waits on all connections
+  through one selector and reads one whole frame from each readable
+  one: a worker sends one report and then blocks for the reply, so it
+  never has more than one frame in flight. On exit the central
+  half-closes every connection, reads each to its end, joins every
   worker thread, and re-raises the first worker exception as the cause
   of a RuntimeError.
 
@@ -28,14 +31,15 @@ before the first distributed epoch. Epoch 1 in the snapshot log is that
 bootstrap; epoch k >= 2 closes after each worker has contributed its
 (k-1)-th distributed epoch. One stop rule holds at every snapshot: a
 non-finite central iterate ends the run flagged diverged, and a true
-`stop_when` ends it early. A stopped run ends without a last broadcast.
+`stop_when(snapshot)` ends it early. A stopped run ends without a last
+broadcast.
 """
 
 from __future__ import annotations
 
+import math
 import selectors
 import socket
-import struct
 import threading
 import time
 from dataclasses import dataclass, field
@@ -54,10 +58,10 @@ from .protocol import (
     DecodeError,
     MessageTag,
     ProtocolMessage,
-    decode_handshake,
-    decode_message,
     encode_handshake,
     encode_message,
+    read_handshake,
+    read_message,
 )
 from .runtime import (
     CentralState,
@@ -125,23 +129,23 @@ def _validate(cfg: DistributedConfig, n: int):
         raise ValueError(f"cannot run {cfg.workers} workers on {n} samples")
     if cfg.epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if cfg.latency < 0 or cfg.step_cost < 0:
-        raise ValueError("latency and step_cost must be >= 0")
+    if not all(v >= 0 and math.isfinite(v) for v in (cfg.latency, cfg.step_cost)):
+        raise ValueError("latency and step_cost must be finite and >= 0")
     if cfg.speed is not None:
         if len(cfg.speed) != cfg.workers:
             raise ValueError("speed must list one multiplier per worker")
-        if any(s <= 0 for s in cfg.speed):
-            raise ValueError("speed multipliers must be > 0")
+        if not all(s > 0 and math.isfinite(s) for s in cfg.speed):
+            raise ValueError("speed multipliers must be finite and > 0")
 
 
 def run_distributed(model: LossModel, ds: Dataset, cfg: DistributedConfig,
-                    stop_when: Callable[[np.ndarray], bool] | None = None,
+                    stop_when: Callable[[EpochSnapshot], bool] | None = None,
                     ) -> DistributedResult:
     """Execute a distributed vrlite run to its epoch budget.
 
-    stop_when, evaluated on the central iterate at each snapshot, ends
-    the run early (used by stepsize sweeps) on either transport. A
-    non-finite central iterate always stops the run and flags it
+    stop_when is given each EpochSnapshot as it is taken; a true return
+    ends the run early on either transport (bench records its rows this
+    way). A non-finite central iterate always stops the run and flags it
     diverged. A worker fault under the socket transport ends the run
     with a RuntimeError whose __cause__ is the worker's exception.
     """
@@ -185,7 +189,7 @@ def run_distributed(model: LossModel, ds: Dataset, cfg: DistributedConfig,
         nonlocal diverged
         snapshots.append(EpochSnapshot(epoch, link.clock(), x.copy()))
         diverged = not np.isfinite(x).all()
-        return diverged or (stop_when is not None and stop_when(x))
+        return diverged or (stop_when is not None and stop_when(snapshots[-1]))
 
     if not stop(1, boot.x) and cfg.epochs > 1:
         try:
@@ -277,39 +281,6 @@ class _Sim:
         self._deliver(s, msg, self.now + self.latency)
 
 
-def _frame_length(head: bytes, d: int) -> int:
-    """Payload length a frame's prefix declares, bounded by what a
-    frame of dimension d can hold."""
-    (payload_len,) = struct.unpack_from("<I", head)
-    limit = 9 + 3 * 8 * d
-    if payload_len > limit:
-        raise DecodeError(
-            f"length mismatch: declared {payload_len} payload bytes, "
-            f"connection allows at most {limit}", offset=0)
-    return payload_len
-
-
-def _recv_exact(conn, nbytes: int) -> bytes:
-    """Read nbytes, or fewer if the peer closes first; the decoders
-    reject a short read as truncated."""
-    got = b""
-    while len(got) < nbytes:
-        chunk = conn.recv(nbytes - len(got))
-        if not chunk:
-            break
-        got += chunk
-    return got
-
-
-def _read_frame(conn, d: int) -> ProtocolMessage | None:
-    """Blocking read of one frame; None on a clean EOF before it."""
-    head = _recv_exact(conn, 4)
-    if not head:
-        return None
-    body = _recv_exact(conn, _frame_length(head, d)) if len(head) == 4 else b""
-    return decode_message(head + body, expected_d=d)
-
-
 class _Socket:
     """Localhost TCP transport. Each worker thread owns its connection
     and drives its worker generator; the central thread serializes every
@@ -335,7 +306,7 @@ class _Socket:
             with socket.create_connection(("127.0.0.1", port),
                                           timeout=_SOCKET_TIMEOUT) as conn:
                 conn.sendall(encode_handshake(self.d))
-                hello = _read_frame(conn, self.d)
+                hello = read_message(conn.recv, self.d)
                 if hello is None:
                     return
                 loop = self.worker_loop(init_worker(s, hello.v1, hello.v2,
@@ -347,7 +318,7 @@ class _Socket:
                     except StopIteration:
                         return
                     conn.sendall(encode_message(msg))
-                    reply = _read_frame(conn, self.d)
+                    reply = read_message(conn.recv, self.d)
                     if reply is None:  # the central ended the run
                         return
         except Exception as exc:  # re-raised as the run's cause by close()
@@ -355,7 +326,6 @@ class _Socket:
 
     def open(self):
         self.selector = selectors.DefaultSelector()
-        self.buffers = [bytearray() for _ in range(self.p)]
         self.frames = [0] * self.p
         with socket.create_server(("127.0.0.1", 0)) as listener:
             listener.settimeout(_SOCKET_TIMEOUT)
@@ -365,41 +335,41 @@ class _Socket:
                                      daemon=True)
                 t.start()
                 self.threads.append(t)
-            hello = encode_message(self.hello)
-            for i in range(self.p):
+            # Accept every worker before judging any handshake: raising
+            # while workers still connect would close the listener on
+            # them, and their refused connects would then be reported in
+            # place of the DecodeError.
+            for _ in range(self.p):
                 conn, _addr = listener.accept()
                 conn.settimeout(_SOCKET_TIMEOUT)
                 self.conns.append(conn)
-                if decode_handshake(_recv_exact(conn, 9)) != self.d:
-                    raise DecodeError("handshake dimension disagrees with "
-                                      "dataset", offset=5)
-                conn.sendall(hello)
-                self.selector.register(conn, selectors.EVENT_READ, i)
+        hello = encode_message(self.hello)
+        for i, conn in enumerate(self.conns):
+            if read_handshake(conn.recv) != self.d:
+                raise DecodeError("handshake dimension disagrees with "
+                                  "dataset", offset=5)
+            conn.sendall(hello)
+            self.selector.register(conn, selectors.EVENT_READ, i)
 
     def _pump(self):
-        """Wait until some connection is readable and move every complete
-        frame it holds to the inbox."""
+        """Wait until some connection is readable and read one frame from
+        each that is. A worker sends one report and then blocks for the
+        reply, so a connection never holds more than that one frame (or
+        the worker's hang-up) and nothing is left buffered between calls."""
         events = self.selector.select(_SOCKET_TIMEOUT)
         if not events:
             raise TimeoutError(f"no worker message in {_SOCKET_TIMEOUT:g} s")
         for key, _ in events:
             i = key.data
-            chunk = key.fileobj.recv(1 << 16)
-            buf = self.buffers[i]
-            buf += chunk
-            while len(buf) >= 4:
-                end = 4 + _frame_length(buf, self.d)
-                if len(buf) < end:
-                    break
-                self.inbox.append((i, decode_message(bytes(buf[:end]),
-                                                     expected_d=self.d)))
-                del buf[:end]
-                self.frames[i] += 1
-            if not chunk:
+            msg = read_message(key.fileobj.recv, self.d)
+            if msg is None:
                 self.selector.unregister(key.fileobj)
-                if buf or self.frames[i] < self.reports:
+                if self.frames[i] < self.reports:
                     raise RuntimeError(f"worker connection {i} closed "
                                        "before its last report")
+            else:
+                self.inbox.append((i, msg))
+                self.frames[i] += 1
 
     def recv(self) -> tuple[int, ProtocolMessage]:
         while not self.inbox:

@@ -10,7 +10,9 @@ the tag: (x, x_bar, g_bar) for reports and global state, and the
 corresponding deltas for tag 1.
 
 The dimension d is fixed per connection by a handshake frame sent once
-before any message: len=5, tag=255, payload d:u32.
+before any message: len=5, tag=255, payload d:u32. Every frame on a
+connection therefore has one size, and this module is the only one that
+knows it: `read_message` and `read_handshake` read frames off a stream.
 """
 
 from __future__ import annotations
@@ -138,3 +140,41 @@ def decode_handshake(frame: bytes) -> int:
     if d < 1:
         raise DecodeError(f"handshake dimension {d} is not positive", offset=5)
     return d
+
+
+def _read_exact(read, nbytes: int) -> bytes:
+    """nbytes from read(n), or fewer if the stream ends first; the
+    decoders reject a short read as truncated."""
+    got = b""
+    while len(got) < nbytes:
+        chunk = read(nbytes - len(got))
+        if not chunk:
+            break
+        got += chunk
+    return got
+
+
+def read_message(read, d: int) -> ProtocolMessage | None:
+    """Read and decode one frame of dimension d from a stream.
+
+    read(n) returns at most n bytes and b"" at end of stream, as
+    socket.recv does. Returns None on a clean end of stream before the
+    frame. A length prefix larger than a d-frame is rejected before the
+    body is read, so a corrupt prefix cannot leave the reader waiting."""
+    frame = _read_exact(read, _LEN.size)
+    if not frame:
+        return None
+    if len(frame) == _LEN.size:
+        (payload_len,) = _LEN.unpack(frame)
+        limit = _HEADER_PAYLOAD + 3 * _VEC_BYTES * d
+        if payload_len > limit:
+            raise DecodeError(
+                f"length mismatch: declared {payload_len} payload bytes, "
+                f"connection allows at most {limit}", offset=0)
+        frame += _read_exact(read, payload_len)
+    return decode_message(frame, expected_d=d)
+
+
+def read_handshake(read) -> int:
+    """Read and decode a handshake frame from a stream; returns d."""
+    return decode_handshake(_read_exact(read, _HANDSHAKE.size))

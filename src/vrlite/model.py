@@ -174,14 +174,19 @@ def objective(model: LossModel, ds: Dataset, x: np.ndarray) -> float:
     return float(data.mean() + model.lam * np.dot(x, x))
 
 
-def full_gradient(model: LossModel, ds: Dataset, x: np.ndarray) -> np.ndarray:
-    """Mean of the per-sample gradients over the whole dataset."""
+def _grad_coefs(model: LossModel, ds: Dataset, x: np.ndarray) -> np.ndarray:
+    """coefs such that sample i's loss gradient at x is coefs[i] * a_i
+    (the regularizer's 2 lam x excluded)."""
     _check_dim(x.shape[0], ds.dimension)
     z = ds.features @ x
     if model.kind == "logistic":
-        coefs = ds.labels * _sigmoid_vec(ds.labels * z)
-    else:
-        coefs = 2.0 * (z - ds.labels)
+        return ds.labels * _sigmoid_vec(ds.labels * z)
+    return 2.0 * (z - ds.labels)
+
+
+def full_gradient(model: LossModel, ds: Dataset, x: np.ndarray) -> np.ndarray:
+    """Mean of the per-sample gradients over the whole dataset."""
+    coefs = _grad_coefs(model, ds, x)
     return (ds.features.T @ coefs) / len(ds) + (2.0 * model.lam) * x
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .model import Dataset, LossModel, _check_dim, _row_grad, _sigmoid_vec, full_gradient
+from .model import Dataset, LossModel, _grad_coefs, _row_grad, full_gradient
 
 ACCUM_MODES = ("post", "reuse")
 
@@ -215,12 +215,7 @@ class SagaState:
 
 def saga_init(model: LossModel, ds: Dataset, x0: np.ndarray) -> SagaState:
     """Fill the gradient table with per-sample gradients at x0."""
-    _check_dim(x0.shape[0], ds.dimension)
-    z = ds.features @ x0
-    if model.kind == "logistic":
-        coefs = ds.labels * _sigmoid_vec(ds.labels * z)
-    else:
-        coefs = 2.0 * (z - ds.labels)
+    coefs = _grad_coefs(model, ds, x0)
     table = coefs[:, None] * ds.features + (2.0 * model.lam) * x0
     return SagaState(grad_table=table, table_mean=table.mean(axis=0))
 

@@ -46,6 +46,8 @@ def test_config_validation():
         _cfg(epochs=-1),
         _cfg(seed=-1),
         _cfg(latency_ms=-0.5),
+        _cfg(latency_ms=float("nan")),
+        _cfg(latency_ms=float("inf")),
         _cfg(lam=-1.0),
         _cfg(lam=float("inf")),
         _cfg(dataset="mnist"),
@@ -189,6 +191,23 @@ def test_epoch_functions_are_called_through_module_attributes(
     res = run_experiment(_cfg(algo=algo, eta=1e-3, epochs=3))
     assert [r.epoch for r in res.rows] == [0, 1, 2, 3]
     assert calls == {**dict.fromkeys(EPOCH_FUNCS, 0), **expected}
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_distributed_metrics_are_computed_once_per_snapshot(monkeypatch, mode):
+    """One full gradient for the reference norm, then one per row: the
+    stop rule reads the row it has just recorded."""
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return full_gradient(*args)
+
+    monkeypatch.setattr(bench, "full_gradient", counting)
+    res = run_experiment(_cfg(mode=mode, workers=2, epochs=6, eta=0.05,
+                              stop_at_rel=1e-300))
+    assert [r.epoch for r in res.rows] == list(range(7))
+    assert len(calls) == 8
 
 
 def test_distributed_rows_come_from_snapshots():

@@ -73,6 +73,16 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("latency", ["nan", "inf"])
+def test_non_finite_latency_exits_one(tmp_path, capsys, latency):
+    code, out = _run(tmp_path, "--algo", "vrlite", "--dataset", "toy-class",
+                     "--eta", "0.0032", "--mode", "sync", "--workers", "2",
+                     "--epochs", "2", "--latency-ms", latency)
+    assert code == 1
+    assert "latency_ms must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_libsvm_file_exits_one(tmp_path, capsys):
     code, _ = _run(tmp_path, "--algo", "vrlite",
                    "--dataset", f"libsvm:{tmp_path}/nope.txt",

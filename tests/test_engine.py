@@ -162,6 +162,16 @@ def test_stop_when_ends_sim_runs_early(prob):
     assert not res.diverged
 
 
+@pytest.mark.parametrize("transport", ["sim", "socket"])
+def test_stop_when_is_given_each_snapshot(prob, transport):
+    ds, m = prob
+    seen = []
+    res = run_distributed(m, ds, _cfg(workers=2, epochs=4, transport=transport),
+                          stop_when=lambda snap: seen.append(snap) or False)
+    assert len(seen) == len(res.snapshots) == 4
+    assert all(a is b for a, b in zip(seen, res.snapshots))
+
+
 def _stop_on_call(k):
     calls = []
 
@@ -222,6 +232,12 @@ def test_config_validation(prob):
         run_distributed(m, ds, _cfg(workers=2, speed=(1.0,)))
     with pytest.raises(ValueError):
         run_distributed(m, ds, _cfg(workers=1, speed=(0.0,)))
+    # Non-finite settings would poison the virtual clock.
+    for bad in (float("nan"), float("inf")):
+        for kw in (dict(latency=bad), dict(step_cost=bad),
+                   dict(mode="async", workers=2, speed=(bad, 1.0))):
+            with pytest.raises(ValueError, match="finite"):
+                run_distributed(m, ds, _cfg(**kw))
 
 
 def test_epoch_budget_of_one_is_bootstrap_only(prob):

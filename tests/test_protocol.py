@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -12,6 +13,8 @@ from vrlite.distributed.protocol import (
     decode_message,
     encode_handshake,
     encode_message,
+    read_handshake,
+    read_message,
 )
 
 
@@ -167,6 +170,59 @@ def test_handshake_validation():
     zero_d = struct.pack("<IBI", 5, HANDSHAKE_TAG, 0)
     with pytest.raises(DecodeError, match="not positive"):
         decode_handshake(zero_d)
+
+
+class _Trickle:
+    """A stream that hands out at most `step` bytes per read and records
+    every request, like a socket whose data arrives in pieces."""
+
+    def __init__(self, data: bytes, step: int):
+        self.buf = io.BytesIO(data)
+        self.step = step
+        self.requests = []
+
+    def read(self, n):
+        self.requests.append(n)
+        return self.buf.read(min(n, self.step))
+
+
+def test_read_message_reads_consecutive_frames_then_none():
+    rng = np.random.default_rng(3)
+    msgs = [_random_message(rng, 5) for _ in range(3)]
+    stream = _Trickle(b"".join(encode_message(m) for m in msgs), step=7)
+    for m in msgs:
+        out = read_message(stream.read, 5)
+        assert (out.tag, out.worker_id, out.epoch) == (m.tag, m.worker_id, m.epoch)
+        np.testing.assert_array_equal(out.v3, m.v3)
+    assert read_message(stream.read, 5) is None
+
+
+def test_read_message_rejects_oversized_prefix_before_the_body():
+    frame = bytearray(encode_message(_random_message(np.random.default_rng(4), 5)))
+    struct.pack_into("<I", frame, 0, len(frame) - 4 + 24)
+    stream = _Trickle(bytes(frame), step=1 << 16)
+    with pytest.raises(DecodeError, match="allows at most"):
+        read_message(stream.read, 5)
+    assert stream.requests == [4]  # the body was never asked for
+
+
+@pytest.mark.parametrize("cut", [1, 3, 4, 20])
+def test_read_message_rejects_a_stream_that_ends_mid_frame(cut):
+    frame = encode_message(_random_message(np.random.default_rng(5), 5))
+    with pytest.raises(DecodeError, match="truncated"):
+        read_message(_Trickle(frame[:cut], step=2).read, 5)
+
+
+def test_read_message_checks_the_dimension():
+    frame = encode_message(_random_message(np.random.default_rng(6), 4))
+    with pytest.raises(DecodeError, match="d=4"):
+        read_message(io.BytesIO(frame).read, 5)
+
+
+def test_read_handshake():
+    assert read_handshake(_Trickle(encode_handshake(22), step=2).read) == 22
+    with pytest.raises(DecodeError, match="truncated"):
+        read_handshake(io.BytesIO(encode_handshake(22)[:6]).read)
 
 
 def test_thousand_message_soak():

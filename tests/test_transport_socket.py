@@ -1,6 +1,7 @@
 """Localhost TCP transport, checked against the simulated transport."""
 
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -13,6 +14,7 @@ import pytest
 from vrlite.data import SyntheticSpec, gen_gaussian_classification
 from vrlite.distributed import engine
 from vrlite.distributed.engine import DistributedConfig, run_distributed
+from vrlite.distributed.protocol import DecodeError, MessageTag, ProtocolMessage
 from vrlite.model import LossModel
 
 
@@ -117,6 +119,60 @@ def test_worker_fault_surfaces_promptly_with_its_cause(prob, monkeypatch, mode):
     assert time.monotonic() - t0 < 5.0
     assert info.value.__cause__ is fault
     assert set(threading.enumerate()) <= before
+
+
+def _fails_promptly_with(error, run):
+    before = set(threading.enumerate())
+    t0 = time.monotonic()
+    with pytest.raises(error) as info:
+        run()
+    assert time.monotonic() - t0 < 5.0
+    assert set(threading.enumerate()) <= before
+    return info
+
+
+def test_rejected_handshake_reports_the_decode_error(prob, monkeypatch):
+    """Every worker announces the wrong dimension. The central must
+    report that, not a refused connection of a worker that was still
+    connecting when the first handshake was judged."""
+    ds, m = prob
+    real = engine.encode_handshake
+    monkeypatch.setattr(engine, "encode_handshake", lambda d: real(d + 1))
+    info = _fails_promptly_with(
+        DecodeError, lambda: run_distributed(m, ds, _cfg("socket", "sync", 3)))
+    assert "handshake" in str(info.value)
+
+
+def _corrupt(kind, msg, encode):
+    """Frame for msg damaged in one way: a well-formed frame of
+    dimension d - 1, a length prefix 24 bytes too long, or tag 7."""
+    if kind == "short":
+        return encode(ProtocolMessage(msg.tag, msg.worker_id, msg.epoch,
+                                      msg.v1[:-1], msg.v2[:-1], msg.v3[:-1]))
+    frame = bytearray(encode(msg))
+    if kind == "long-prefix":
+        struct.pack_into("<I", frame, 0, len(frame) - 4 + 24)
+    else:
+        frame[4] = 7
+    return bytes(frame)
+
+
+@pytest.mark.parametrize("kind", ["short", "long-prefix", "bad-tag"])
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_malformed_report_fails_promptly(prob, monkeypatch, mode, kind):
+    """Worker 1's second report (epoch 3) is damaged on the wire; the
+    central rejects it with a DecodeError and no thread is left behind."""
+    ds, m = prob
+    real = engine.encode_message
+
+    def encode(msg):
+        if msg.tag != MessageTag.GLOBAL_STATE and (msg.worker_id, msg.epoch) == (1, 3):
+            return _corrupt(kind, msg, real)
+        return real(msg)
+
+    monkeypatch.setattr(engine, "encode_message", encode)
+    _fails_promptly_with(
+        DecodeError, lambda: run_distributed(m, ds, _cfg("socket", mode, 2, epochs=8)))
 
 
 def test_async_socket_runs_leave_no_thread_alive(prob):

@@ -8,7 +8,8 @@ keyed by a CRC-32 of the source, the flags and the compiler (its resolved
 path, size and modification time, which change with its version). The
 file is written by atomic rename and ends in a CRC-32 seal over that key
 and its bytes; a cached file whose seal does not match (truncated, or
-built for another key) is rebuilt, never loaded. The checks guard
+built for another key) is rebuilt, never loaded, and a build removes
+the libraries of other keys. The checks guard
 against accidents, not tampering: whoever can write the cache can write
 the package too. A warm import starts no process. The library is loaded
 with `ctypes`, whose calls release the interpreter lock.
@@ -39,7 +40,7 @@ SOURCE = os.path.join(_HERE, "_kernel.c")
 CACHE_DIR = os.path.join(_HERE, "__pycache__")
 # No contraction into fused multiply-adds: each product and sum rounds on
 # its own, as it does in Python and NumPy.
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _ACCUM_CODES = {None: 0, "post": 1, "reuse": 2}
 
 _SEAL_BYTES = 4
@@ -47,9 +48,9 @@ _P, _I64, _F64, _INT = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.
 _SIGNATURES = {
     "dot": (_F64, [_P, _P, _I64]),
     "epoch": (None, [_P, _P, _P, _I64, _I64, _P, _P, _P, _INT, _F64, _F64, _INT,
-                     _P, _P, _P]),
+                     _P, _P]),
     "saga_epoch": (None, [_P, _P, _I64, _P, _I64, _I64, _P, _P, _P, _INT, _F64,
-                          _F64, _P]),
+                          _F64]),
 }
 
 
@@ -80,7 +81,8 @@ def _verified(path: str, key: str) -> bool:
 
 def _build(cc: str, key: str, path: str):
     """Compile into a private temporary file, seal it, and rename it into
-    place, so a concurrent importer never sees a partial file."""
+    place, so a concurrent importer never sees a partial file. Then drop
+    the libraries of other keys."""
     import subprocess  # here, so that a warm import does not pay for it
 
     os.makedirs(CACHE_DIR, exist_ok=True)
@@ -99,6 +101,21 @@ def _build(cc: str, key: str, path: str):
     except BaseException:
         os.unlink(tmp)
         raise
+    _remove_stale(path)
+
+
+def _remove_stale(keep: str):
+    """Best effort: delete cached libraries built for other keys (an older
+    source, other flags or another compiler), which would otherwise pile
+    up. A concurrent build's `.tmp` file is never touched, and a library
+    another process has loaded stays mapped after its name is gone."""
+    for name in os.listdir(CACHE_DIR):
+        path = os.path.join(CACHE_DIR, name)
+        if name.startswith("_kernel-") and name.endswith(".so") and path != keep:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
 
 def _load() -> ctypes.CDLL:
@@ -189,13 +206,12 @@ def epoch(F, L, order, x, anchor, accum_grad, logistic: bool, lam2: float,
     iterates and of the accumulated gradients over the steps."""
     d = x.shape[0]
     x = x.copy()
-    acc_x, acc_g, work = np.zeros(d), np.zeros(d), np.empty(2 * d)
+    acc_x, acc_g = np.zeros(d), np.zeros(d)
     x_ref, g_mean = (None, None) if anchor is None else (
         anchor[0].ctypes.data, anchor[1].ctypes.data)
     lib.epoch(F.ctypes.data, L.ctypes.data, order.ctypes.data, order.shape[0], d,
               x.ctypes.data, x_ref, g_mean, int(logistic), lam2, eta,
-              _ACCUM_CODES[accum_grad], acc_x.ctypes.data, acc_g.ctypes.data,
-              work.ctypes.data)
+              _ACCUM_CODES[accum_grad], acc_x.ctypes.data, acc_g.ctypes.data)
     return x, acc_x, acc_g
 
 
@@ -205,8 +221,7 @@ def saga_epoch(F, L, order, x, table, mean, logistic: bool, lam2: float,
     mean are updated in place; returns the last iterate in a new array."""
     n, d = F.shape
     x = x.copy()
-    work = np.empty(d)
     lib.saga_epoch(F.ctypes.data, L.ctypes.data, n, order.ctypes.data,
                    order.shape[0], d, x.ctypes.data, table.ctypes.data,
-                   mean.ctypes.data, int(logistic), lam2, eta, work.ctypes.data)
+                   mean.ctypes.data, int(logistic), lam2, eta)
     return x

@@ -18,13 +18,7 @@ import numpy as np
 
 from .data import SyntheticSpec, gen_gaussian_classification, gen_linear_regression, load_libsvm
 from .distributed.engine import DistributedConfig, run_distributed
-from .model import (
-    DEFAULT_LAMBDA,
-    Dataset,
-    LossModel,
-    full_gradient,
-    objective,
-)
+from .model import DEFAULT_LAMBDA, Dataset, LossModel, _objective_and_gradient
 from .optim import (
     ACCUM_MODES,
     GRAD_EVALS_PER_SGD_STEP,
@@ -158,23 +152,30 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.eta is None:
         raise ValueError("eta is required (or use stepsize_sweep)")
     ds, model = load_dataset(cfg)
-    d = ds.dimension
-    x0 = np.zeros(d)
-    norm0 = float(np.linalg.norm(full_gradient(model, ds, x0)))
-    if norm0 == 0.0:
-        raise ValueError("gradient at the zero iterate is zero; nothing to run")
+    return _run(cfg, ds, model)
 
+
+def _run(cfg: ExperimentConfig, ds: Dataset, model: LossModel) -> ExperimentResult:
+    """run_experiment on a validated cfg and its loaded dataset."""
+    x0 = np.zeros(ds.dimension)
     rows: list[MetricsRow] = []
     diverged = False
+    norm0 = None  # the gradient norm at x0, taken from row 0
 
     def record(epoch: int, wall: float, x: np.ndarray) -> bool:
         """Append the row for iterate x; True ends the run. A non-finite
         iterate or metric adds no row, except at epoch 0 (the CLI reports
         the last row), and flags the run diverged."""
-        nonlocal diverged
+        nonlocal diverged, norm0
         with np.errstate(over="ignore", invalid="ignore"):
-            obj = objective(model, ds, x)
-            rel = float(np.linalg.norm(full_gradient(model, ds, x)) / norm0)
+            obj, grad = _objective_and_gradient(model, ds, x)
+            norm = np.linalg.norm(grad)
+            if norm0 is None:
+                norm0 = float(norm)
+                if norm0 == 0.0:
+                    raise ValueError("gradient at the zero iterate is zero; "
+                                     "nothing to run")
+            rel = float(norm / norm0)
         diverged = not (math.isfinite(obj) and math.isfinite(rel)
                         and np.isfinite(x).all())
         if not diverged or epoch == 0:
@@ -271,11 +272,13 @@ def stepsize_sweep(cfg: ExperimentConfig, grid=None) -> SweepResult:
     grid = DEFAULT_GRID if grid is None else tuple(grid)
     if not grid or any(not (g > 0 and math.isfinite(g)) for g in grid):
         raise ValueError("sweep grid must contain positive finite stepsizes")
+    cfg.validate()
+    ds, model = load_dataset(cfg)  # once: no grid point changes the data
     outcomes = []
     for eta in grid:
         run_cfg = replace(cfg, eta=float(eta), stop_at_rel=cfg.target_rel,
                           out_path=None)
-        res = run_experiment(run_cfg)
+        res = _run(run_cfg, ds, model)
         reached = epochs_to_target(res.rows, cfg.target_rel)
         final = res.rows[-1].rel_grad_norm if res.rows else None
         outcomes.append(EtaOutcome(float(eta), reached, res.diverged, final))

@@ -164,8 +164,31 @@ def grad_sample(model: LossModel, sample: LabeledSample, x: np.ndarray) -> np.nd
 
 def objective(model: LossModel, ds: Dataset, x: np.ndarray) -> float:
     """Full objective (1/n) sum_i f_i(x), computed with vectorized math."""
+    return _objective_at(model, ds, x, _margins(ds, x))
+
+
+def full_gradient(model: LossModel, ds: Dataset, x: np.ndarray) -> np.ndarray:
+    """Mean of the per-sample gradients over the whole dataset."""
+    return _gradient_at(model, ds, x, _margins(ds, x))
+
+
+def _objective_and_gradient(model: LossModel, ds: Dataset,
+                            x: np.ndarray) -> tuple[float, np.ndarray]:
+    """objective and full_gradient at x from one shared F @ x: the same
+    bits as the two calls, with one matrix-vector product fewer."""
+    z = _margins(ds, x)
+    return _objective_at(model, ds, x, z), _gradient_at(model, ds, x, z)
+
+
+def _margins(ds: Dataset, x: np.ndarray) -> np.ndarray:
+    """z = F @ x, every sample's margin at x."""
     _check_dim(x.shape[0], ds.dimension)
-    z = ds.features @ x
+    return ds.features @ x
+
+
+def _objective_at(model: LossModel, ds: Dataset, x: np.ndarray,
+                  z: np.ndarray) -> float:
+    """objective at x from its margins z = F @ x."""
     if model.kind == "logistic":
         data = np.logaddexp(0.0, ds.labels * z)
     else:
@@ -174,19 +197,18 @@ def objective(model: LossModel, ds: Dataset, x: np.ndarray) -> float:
     return float(data.mean() + model.lam * np.dot(x, x))
 
 
-def _grad_coefs(model: LossModel, ds: Dataset, x: np.ndarray) -> np.ndarray:
-    """coefs such that sample i's loss gradient at x is coefs[i] * a_i
-    (the regularizer's 2 lam x excluded)."""
-    _check_dim(x.shape[0], ds.dimension)
-    z = ds.features @ x
+def _grad_coefs(model: LossModel, ds: Dataset, z: np.ndarray) -> np.ndarray:
+    """coefs such that sample i's loss gradient at x is coefs[i] * a_i,
+    from the margins z = F @ x (the regularizer's 2 lam x excluded)."""
     if model.kind == "logistic":
         return ds.labels * _sigmoid_vec(ds.labels * z)
     return 2.0 * (z - ds.labels)
 
 
-def full_gradient(model: LossModel, ds: Dataset, x: np.ndarray) -> np.ndarray:
-    """Mean of the per-sample gradients over the whole dataset."""
-    coefs = _grad_coefs(model, ds, x)
+def _gradient_at(model: LossModel, ds: Dataset, x: np.ndarray,
+                 z: np.ndarray) -> np.ndarray:
+    """full_gradient at x from its margins z = F @ x."""
+    coefs = _grad_coefs(model, ds, z)
     return (ds.features.T @ coefs) / len(ds) + (2.0 * model.lam) * x
 
 

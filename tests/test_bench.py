@@ -195,19 +195,20 @@ def test_epoch_functions_are_called_through_module_attributes(
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_distributed_metrics_are_computed_once_per_snapshot(monkeypatch, mode):
-    """One full gradient for the reference norm, then one per row: the
-    stop rule reads the row it has just recorded."""
+    """One metric pass per row, the reference norm taken from row 0's:
+    the stop rule reads the row it has just recorded."""
     calls = []
+    real = bench._objective_and_gradient
 
     def counting(*args):
         calls.append(None)
-        return full_gradient(*args)
+        return real(*args)
 
-    monkeypatch.setattr(bench, "full_gradient", counting)
+    monkeypatch.setattr(bench, "_objective_and_gradient", counting)
     res = run_experiment(_cfg(mode=mode, workers=2, epochs=6, eta=0.05,
                               stop_at_rel=1e-300))
     assert [r.epoch for r in res.rows] == list(range(7))
-    assert len(calls) == 8
+    assert len(calls) == 7
 
 
 def test_distributed_rows_come_from_snapshots():
@@ -323,6 +324,34 @@ def test_sweep_excludes_divergent_and_hopeless_points():
     tiny, huge = sweep.outcomes
     assert tiny.epochs_to_target is None and not tiny.diverged
     assert huge.diverged
+
+
+def test_sweep_loads_its_dataset_once(monkeypatch, tmp_path, tiny_ridge):
+    path = tmp_path / "reg.libsvm"
+    path.write_text(format_libsvm(tiny_ridge[0]))
+    cfg = _cfg(dataset=f"libsvm:{path}", eta=None, epochs=30)
+    # The sweep as one run_experiment per grid point, each loading the file.
+    outcomes = []
+    for eta in DEFAULT_GRID:
+        res = run_experiment(replace(cfg, eta=eta, stop_at_rel=cfg.target_rel))
+        outcomes.append(bench.EtaOutcome(
+            eta, epochs_to_target(res.rows, cfg.target_rel), res.diverged,
+            res.rows[-1].rel_grad_norm))
+    reached = [(o.epochs_to_target, o.eta) for o in outcomes
+               if not o.diverged and o.epochs_to_target is not None]
+    want = bench.SweepResult(min(reached)[1], cfg.target_rel, outcomes)
+    assert any(o.diverged for o in outcomes)
+
+    loads = []
+    real = bench.load_dataset
+
+    def counting(c):
+        loads.append(c.dataset)
+        return real(c)
+
+    monkeypatch.setattr(bench, "load_dataset", counting)
+    assert stepsize_sweep(cfg) == want
+    assert loads == [cfg.dataset]
 
 
 def test_sweep_validates_grid():

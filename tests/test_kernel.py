@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vrlite import _kernel, optim
 from vrlite.distributed import engine
@@ -177,6 +178,86 @@ def test_compiled_dot_equals_python_dot(case):
         assert math.isnan(compiled)
     else:
         assert np.float64(compiled).tobytes() == np.float64(python).tobytes()
+
+
+def _assert_same_bits(got, want):
+    """Equal bit for bit, except that any nan matches any nan."""
+    for u, v in zip(got, want, strict=True):
+        nan = np.isnan(v)
+        np.testing.assert_array_equal(np.isnan(u), nan)
+        assert u[~nan].tobytes() == v[~nan].tobytes()
+
+
+def _arrays(shape):
+    """float64 arrays with entries in [-3, 3], each drawn on its own."""
+    return hnp.arrays(np.float64, shape, elements=st.floats(-3, 3),
+                      fill=st.nothing())
+
+
+@st.composite
+def _problems(draw):
+    """A small problem and a sample order with repeated consecutive
+    indices: the fused loop takes each step's margins from the step
+    before, so the order's length (0, 1 or more) and its repeats pin the
+    loop's boundaries."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    logistic = draw(st.booleans())
+    F = draw(_arrays((n, d)))
+    if logistic:
+        L = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n,
+                                   max_size=n)))
+    else:
+        L = draw(_arrays(n))
+    m = draw(st.integers(0, 12))
+    order = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    repeat = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    for k in range(1, m):
+        if repeat[k]:
+            order[k] = order[k - 1]
+    lam2 = 2.0 * draw(st.sampled_from([0.0, 1e-4, 0.1]))
+    eta = draw(st.one_of(st.sampled_from([1e-4, 3.2e-3, 0.4096, 1e3]),
+                         st.floats(0, 1e3)))
+    # A start scaled by 2^1020 overflows within a step or two at large
+    # eta, so inf and nan must land in the same places on both paths.
+    x = np.ldexp(draw(_arrays(d)), draw(st.sampled_from([0, 1020])))
+    return F, L, np.array(order, dtype=np.int64), x, logistic, lam2, eta
+
+
+@needs_lib
+@settings(max_examples=400, deadline=None)
+@given(_problems(), st.data())
+def test_compiled_epoch_equals_python_epoch(problem, data):
+    F, L, order, x, logistic, lam2, eta = problem
+    d = x.shape[0]
+    anchor = data.draw(st.one_of(st.none(), st.tuples(_arrays(d), _arrays(d))))
+    accum = data.draw(st.sampled_from([None, "post", "reuse"]))
+    args = (F, L, order, x, anchor, accum, logistic, lam2, eta)
+    compiled = _kernel.epoch(*args)
+    with _python_kernel():
+        python = optim._epoch_py(*args)
+    _assert_same_bits(compiled, python)
+
+
+@needs_lib
+@settings(max_examples=400, deadline=None)
+@given(_problems(), st.data())
+def test_compiled_saga_epoch_equals_saga_step_loop(problem, data):
+    F, L, order, x, logistic, lam2, eta = problem
+    n, d = F.shape
+    ds = Dataset(F, L, "classification" if logistic else "regression")
+    m = LossModel("logistic" if logistic else "ridge", lam2 / 2.0)
+    table = data.draw(_arrays((n, d)))
+    mean = table.mean(axis=0)
+    got_table, got_mean = table.copy(), mean.copy()
+    got_x = _kernel.saga_epoch(F, L, order, x, got_table, got_mean, logistic,
+                               2.0 * m.lam, eta)
+    state = optim.SagaState(table.copy(), mean.copy())
+    want_x = x
+    with _python_kernel():
+        for i in order:
+            want_x, state = optim.saga_step(want_x, int(i), m, ds, state, eta)
+    _assert_same_bits([got_x, got_table, got_mean],
+                      [want_x, state.grad_table, state.table_mean])
 
 
 # ----------------------------------------------------- input guards
@@ -400,6 +481,22 @@ def test_damaged_cache_file_is_rebuilt_not_loaded(tmp_path, reference_x):
     assert again["compiled"] and again["sealed"] and again["warnings"] == []
     assert again["dot"] == 3.0 and again["x"] == reference_x
     assert _cache_files(src) == [so.name]
+
+
+@needs_gcc
+def test_build_removes_libraries_of_other_keys(tmp_path, reference_x):
+    src = _copy_package(tmp_path)
+    old = Path(_result(_child(src))["path"]).name
+    # A concurrent build's temporary file is never touched.
+    busy = src / "vrlite" / "__pycache__" / "_kernel-busy.tmp"
+    busy.write_bytes(b"")
+    c_file = src / "vrlite" / "_kernel.c"
+    c_file.write_text(c_file.read_text() + "\n/* edited */\n")
+    r = _result(_child(src))
+    new = Path(r["path"]).name
+    assert r["compiled"] and r["sealed"] and r["x"] == reference_x
+    assert new != old
+    assert _cache_files(src) == sorted([new, busy.name])
 
 
 def test_no_compiler_falls_back_with_one_warning_and_same_bits(tmp_path, reference_x):

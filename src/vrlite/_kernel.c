@@ -20,6 +20,22 @@
  * in place. Only "post" needs a second pass, because its gradient waits
  * for the margin of the finished iterate.
  *
+ * Lanes. The epoch loop is written once, in EPOCH_LOOP, over a lane type T
+ * of W doubles: each lane is one run with its own iterate, anchor,
+ * accumulators and stepsize, and all lanes take the same sample order. A
+ * lane's arithmetic is the one-run arithmetic, element by element (gcc's
+ * vector extensions round each element as the scalar operation does, and
+ * every margin stays its own chain from 0.0), so every lane equals a run
+ * of its own bit for bit. Three instantiations:
+ *   epoch         T = double, W = 1: one run at a time, the path of every
+ *                 single run;
+ *   epoch_lanes2  two lanes of the baseline ISA (SSE2 on x86-64);
+ *   epoch_lanes4  four AVX2 lanes, x86-64 only, built with a per-function
+ *                 target attribute so the file needs no -march flag.
+ * lane_width() names the widest path this CPU runs. Per-run arrays are
+ * laid out (blocks, d, W): element j of lane w in block b sits at
+ * (b * d + j) * W + w, and the caller pads the last block.
+ *
  * The caller has checked every length and index. Nothing here allocates or
  * touches a Python object, so the calls run without the interpreter lock.
  */
@@ -27,6 +43,18 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+
+/* Lane vectors at the alignment of a double: the caller's arrays are only
+ * that aligned. may_alias, because they read and write double arrays. */
+typedef double lanes2 __attribute__((vector_size(16), aligned(8), may_alias));
+
+/* VRLITE_BASELINE_ONLY builds the source as a gcc for another
+ * architecture sees it, without the AVX2 path. */
+#if defined(__x86_64__) && !defined(VRLITE_BASELINE_ONLY)
+#define HAVE_LANES4 1
+#define AVX2 __attribute__((target("avx2")))
+typedef double lanes4 __attribute__((vector_size(32), aligned(8), may_alias));
+#endif
 
 static double seq_dot(const double *a, const double *x, int64_t d)
 {
@@ -37,7 +65,7 @@ static double seq_dot(const double *a, const double *x, int64_t d)
 }
 
 /* model._grad_coef and model._sigmoid: the exp argument is never > 0. */
-static double grad_coef(int logistic, double margin, double label)
+static inline double grad_coef(int logistic, double margin, double label)
 {
     if (logistic) {
         double z = label * margin, s;
@@ -52,60 +80,112 @@ static double grad_coef(int logistic, double margin, double label)
     return 2.0 * (margin - label);
 }
 
+/* grad_coef lane by lane; the ridge branch is elementwise as it stands. */
+#define LANE_COEF(NAME, T, W, ATTR)                                            \
+    static inline __attribute__((always_inline)) ATTR T                       \
+    NAME(int logistic, T margin, double label)                                 \
+    {                                                                          \
+        if (!logistic)                                                         \
+            return 2.0 * (margin - label);                                     \
+        T c;                                                                   \
+        for (int w = 0; w < W; w++)                                            \
+            c[w] = grad_coef(1, margin[w], label);                             \
+        return c;                                                              \
+    }
+
 double dot(const double *a, const double *x, int64_t d)
 {
     return seq_dot(a, x, d);
 }
 
-/* optim._epoch: m steps over rows order[0..m) of the (n, d) matrix F.
- * x_ref and g_mean are both NULL for plain SGD. accum is 0 (nothing
- * accumulated), 1 ("post": the gradient at the updated iterate) or 2
- * ("reuse": the step gradient); acc_x and acc_g receive the sums. */
-void epoch(const double *F, const double *L, const int64_t *order, int64_t m,
-           int64_t d, double *x, const double *x_ref, const double *g_mean,
-           int logistic, double lam2, double eta, int accum,
-           double *acc_x, double *acc_g)
-{
-    if (m == 0)
-        return;
-    const double *a = F + order[0] * d;
-    double margin = seq_dot(a, x, d);
-    double margin_ref = x_ref == NULL ? 0.0 : seq_dot(a, x_ref, d);
-    for (int64_t k = 0; k < m; k++) {
-        /* The last step looks ahead at its own row; those sums go unused. */
-        const double *a_next = F + order[k + 1 < m ? k + 1 : k] * d;
-        double b = L[order[k]];
-        double c = grad_coef(logistic, margin, b);
-        double c_ref = x_ref == NULL ? 0.0 : grad_coef(logistic, margin_ref, b);
-        double s_post = 0.0, s_next = 0.0, s_ref = 0.0;
-        for (int64_t j = 0; j < d; j++) {
-            double g = c * a[j] + lam2 * x[j], xj;
-            if (x_ref == NULL) {
-                xj = x[j] - eta * g;
-            } else {
-                double h = c_ref * a[j] + lam2 * x_ref[j];
-                xj = x[j] - eta * ((g - h) + g_mean[j]);
-                s_ref += a_next[j] * x_ref[j];
-            }
-            x[j] = xj;
-            s_next += a_next[j] * xj;
-            if (accum) {
-                acc_x[j] += xj;
-                if (accum == 1)
-                    s_post += a[j] * xj;
-                else
-                    acc_g[j] += g;
-            }
-        }
-        if (accum == 1) {
-            double c_post = grad_coef(logistic, s_post, b);
-            for (int64_t j = 0; j < d; j++)
-                acc_g[j] += c_post * a[j] + lam2 * x[j];
-        }
-        a = a_next;
-        margin = s_next;
-        margin_ref = s_ref;
+/* optim._epoch for `blocks` blocks of W runs: m steps over rows
+ * order[0..m) of the (n, d) matrix F, block after block. x_ref and g_mean
+ * are both NULL for plain SGD. accum is 0 (nothing accumulated), 1
+ * ("post": the gradient at the updated iterate) or 2 ("reuse": the step
+ * gradient); acc_x and acc_g receive the sums. eta holds one stepsize per
+ * lane. */
+#define EPOCH_LOOP(NAME, T, COEF, ATTR)                                        \
+    ATTR void NAME(const double *F, const double *L, const int64_t *order,     \
+                   int64_t m, int64_t d, int64_t blocks, double *x_,           \
+                   const double *x_ref_, const double *g_mean_, int logistic,  \
+                   double lam2, const double *eta_, int accum, double *acc_x_, \
+                   double *acc_g_)                                             \
+    {                                                                          \
+        if (m == 0)                                                            \
+            return;                                                            \
+        int anchored = x_ref_ != NULL;                                         \
+        for (int64_t blk = 0; blk < blocks; blk++) {                           \
+            T *x = (T *)x_ + blk * d;                                          \
+            const T *x_ref = anchored ? (const T *)x_ref_ + blk * d : NULL;    \
+            const T *g_mean = anchored ? (const T *)g_mean_ + blk * d : NULL;  \
+            T *acc_x = (T *)acc_x_ + blk * d, *acc_g = (T *)acc_g_ + blk * d;  \
+            T eta = ((const T *)eta_)[blk];                                    \
+            const double *a = F + order[0] * d;                                \
+            T margin = {0}, margin_ref = {0};                                  \
+            for (int64_t j = 0; j < d; j++) {                                  \
+                margin += a[j] * x[j];                                         \
+                if (anchored)                                                  \
+                    margin_ref += a[j] * x_ref[j];                             \
+            }                                                                  \
+            for (int64_t k = 0; k < m; k++) {                                  \
+                /* The last step looks ahead at its own row; those sums go     \
+                 * unused. */                                                  \
+                const double *a_next = F + order[k + 1 < m ? k + 1 : k] * d;   \
+                double b = L[order[k]];                                        \
+                T c = COEF(logistic, margin, b), c_ref = {0};                  \
+                if (anchored)                                                  \
+                    c_ref = COEF(logistic, margin_ref, b);                     \
+                T s_post = {0}, s_next = {0}, s_ref = {0};                     \
+                for (int64_t j = 0; j < d; j++) {                              \
+                    T g = c * a[j] + lam2 * x[j], xj;                          \
+                    if (!anchored) {                                           \
+                        xj = x[j] - eta * g;                                   \
+                    } else {                                                   \
+                        T h = c_ref * a[j] + lam2 * x_ref[j];                  \
+                        xj = x[j] - eta * ((g - h) + g_mean[j]);               \
+                        s_ref += a_next[j] * x_ref[j];                         \
+                    }                                                          \
+                    x[j] = xj;                                                 \
+                    s_next += a_next[j] * xj;                                  \
+                    if (accum) {                                               \
+                        acc_x[j] += xj;                                        \
+                        if (accum == 1)                                        \
+                            s_post += a[j] * xj;                               \
+                        else                                                   \
+                            acc_g[j] += g;                                     \
+                    }                                                          \
+                }                                                              \
+                if (accum == 1) {                                              \
+                    T c_post = COEF(logistic, s_post, b);                      \
+                    for (int64_t j = 0; j < d; j++)                            \
+                        acc_g[j] += c_post * a[j] + lam2 * x[j];               \
+                }                                                              \
+                a = a_next;                                                    \
+                margin = s_next;                                               \
+                margin_ref = s_ref;                                            \
+            }                                                                  \
+        }                                                                      \
     }
+
+EPOCH_LOOP(epoch, double, grad_coef, )
+
+LANE_COEF(coef_lanes2, lanes2, 2, )
+EPOCH_LOOP(epoch_lanes2, lanes2, coef_lanes2, )
+
+#ifdef HAVE_LANES4
+LANE_COEF(coef_lanes4, lanes4, 4, AVX2)
+EPOCH_LOOP(epoch_lanes4, lanes4, coef_lanes4, AVX2)
+#endif
+
+/* The widest lane path this CPU runs. */
+int lane_width(void)
+{
+#ifdef HAVE_LANES4
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        return 4;
+#endif
+    return 2;
 }
 
 /* optim.saga_step for i = order[0], ..., order[m-1]: table is (n, d) and

@@ -23,6 +23,8 @@ from .optim import (
     ACCUM_MODES,
     GRAD_EVALS_PER_SGD_STEP,
     GRAD_EVALS_PER_VR_STEP,
+    EpochAverages,
+    OptState,
     initial_state,
     saga_epoch,
     saga_init,
@@ -83,6 +85,11 @@ class ExperimentConfig:
             raise ValueError("latency_ms must be finite and >= 0")
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise ValueError("lambda must be finite and >= 0")
+        if not (self.target_rel > 0 and math.isfinite(self.target_rel)):
+            raise ValueError("target_rel must be finite and > 0")
+        if self.stop_at_rel is not None and not (
+                self.stop_at_rel > 0 and math.isfinite(self.stop_at_rel)):
+            raise ValueError("stop_at_rel must be None or finite and > 0")
         if self.accum_grad not in ACCUM_MODES:
             raise ValueError(f"accum_grad must be one of {ACCUM_MODES}")
         known = ("toy-class", "toy-reg")
@@ -152,73 +159,96 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.eta is None:
         raise ValueError("eta is required (or use stepsize_sweep)")
     ds, model = load_dataset(cfg)
-    return _run(cfg, ds, model)
-
-
-def _run(cfg: ExperimentConfig, ds: Dataset, model: LossModel) -> ExperimentResult:
-    """run_experiment on a validated cfg and its loaded dataset."""
-    x0 = np.zeros(ds.dimension)
-    rows: list[MetricsRow] = []
-    diverged = False
-    norm0 = None  # the gradient norm at x0, taken from row 0
-
-    def record(epoch: int, wall: float, x: np.ndarray) -> bool:
-        """Append the row for iterate x; True ends the run. A non-finite
-        iterate or metric adds no row, except at epoch 0 (the CLI reports
-        the last row), and flags the run diverged."""
-        nonlocal diverged, norm0
-        with np.errstate(over="ignore", invalid="ignore"):
-            obj, grad = _objective_and_gradient(model, ds, x)
-            norm = np.linalg.norm(grad)
-            if norm0 is None:
-                norm0 = float(norm)
-                if norm0 == 0.0:
-                    raise ValueError("gradient at the zero iterate is zero; "
-                                     "nothing to run")
-            rel = float(norm / norm0)
-        diverged = not (math.isfinite(obj) and math.isfinite(rel)
-                        and np.isfinite(x).all())
-        if not diverged or epoch == 0:
-            rows.append(MetricsRow(cfg.algo, cfg.mode, cfg.workers, epoch,
-                                   wall, obj, rel, cfg.eta, cfg.seed))
-        return diverged or (cfg.stop_at_rel is not None
-                            and rel <= cfg.stop_at_rel)
-
-    record(0, 0.0, x0)  # the starting point never ends the run
-    if cfg.epochs > 0 and cfg.mode == "seq":
-        _run_sequential(cfg, model, ds, record)
-    elif cfg.epochs > 0:
-        dcfg = DistributedConfig(
-            mode=cfg.mode,
-            workers=cfg.workers,
-            epochs=cfg.epochs,
-            eta=cfg.eta,
-            seed=cfg.seed,
-            transport=cfg.transport,
-            latency=cfg.latency_ms,
-            accum_grad=cfg.accum_grad,
-        )
-        res = run_distributed(model, ds, dcfg, stop_when=lambda snap: record(
-            snap.epoch, snap.clock_ms, snap.x))
-        diverged = diverged or res.diverged
-
-    result = ExperimentResult(rows=rows, diverged=diverged, eta=cfg.eta,
-                              config=cfg)
+    run = _Run(cfg, model, ds)
+    _execute([run], model, ds)
+    result = run.result()
     if cfg.out_path:
-        write_csv(rows, cfg.out_path)
+        write_csv(result.rows, cfg.out_path)
     return result
 
 
-def _run_sequential(cfg, model, ds, record):
-    """One epoch loop for every sequential algorithm. Each algorithm
-    supplies the virtual cost of its set-up and a closure that runs
-    epoch k and returns the new iterate and that epoch's cost."""
+class _Run:
+    """The rows of one run and its stop rule."""
+
+    def __init__(self, cfg: ExperimentConfig, model: LossModel, ds: Dataset):
+        self.cfg, self.model, self.ds = cfg, model, ds
+        self.rows: list[MetricsRow] = []
+        self.diverged = False
+        self.norm0 = None  # the gradient norm at x0, taken from row 0
+
+    def record(self, epoch: int, wall: float, x: np.ndarray) -> bool:
+        """Append the row for iterate x; True ends the run. A non-finite
+        iterate or metric adds no row, except at epoch 0 (the CLI reports
+        the last row), and flags the run diverged."""
+        cfg = self.cfg
+        with np.errstate(over="ignore", invalid="ignore"):
+            obj, grad = _objective_and_gradient(self.model, self.ds, x)
+            norm = np.linalg.norm(grad)
+            if self.norm0 is None:
+                self.norm0 = float(norm)
+                if self.norm0 == 0.0:
+                    raise ValueError("gradient at the zero iterate is zero; "
+                                     "nothing to run")
+            rel = float(norm / self.norm0)
+        self.diverged = not (math.isfinite(obj) and math.isfinite(rel)
+                             and np.isfinite(x).all())
+        if not self.diverged or epoch == 0:
+            self.rows.append(MetricsRow(cfg.algo, cfg.mode, cfg.workers, epoch,
+                                        wall, obj, rel, cfg.eta, cfg.seed))
+        return self.diverged or (cfg.stop_at_rel is not None
+                                 and rel <= cfg.stop_at_rel)
+
+    def result(self) -> ExperimentResult:
+        return ExperimentResult(rows=self.rows, diverged=self.diverged,
+                                eta=self.cfg.eta, config=self.cfg)
+
+
+def _execute(runs: list[_Run], model: LossModel, ds: Dataset):
+    """Run validated configs that differ only in eta: sequential runs in
+    lock step, a distributed run (always alone) over its transport."""
+    x0 = np.zeros(ds.dimension)
+    for run in runs:
+        run.record(0, 0.0, x0)  # the starting point never ends a run
+    cfg = runs[0].cfg
+    if cfg.epochs == 0:
+        return
+    if cfg.mode == "seq":
+        _run_sequential(runs, model, ds)
+        return
+    (run,) = runs
+    dcfg = DistributedConfig(
+        mode=cfg.mode,
+        workers=cfg.workers,
+        epochs=cfg.epochs,
+        eta=cfg.eta,
+        seed=cfg.seed,
+        transport=cfg.transport,
+        latency=cfg.latency_ms,
+        accum_grad=cfg.accum_grad,
+    )
+    res = run_distributed(model, ds, dcfg, stop_when=lambda snap: run.record(
+        snap.epoch, snap.clock_ms, snap.x))
+    run.diverged = run.diverged or res.diverged
+
+
+def _run_sequential(runs: list[_Run], model: LossModel, ds: Dataset):
+    """One epoch loop for every sequential algorithm, over runs that
+    differ only in eta. The runs step in lock step: every draw of the
+    sample order comes from one stream and serves every run, which is
+    the order each run would draw from its own stream of the same seed,
+    since no draw depends on eta. A run leaves when its record ends it.
+    SAGA takes one run at a time (its table is n x d per run).
+
+    Each algorithm supplies the virtual cost of its set-up and a closure
+    that runs epoch k for the runs still going and returns their
+    iterates, shape (K, d), and that epoch's cost."""
+    cfg = runs[0].cfg
     n = len(ds)
     rng = optimizer_rng(cfg.seed)
-    eta, accum = cfg.eta, cfg.accum_grad
+    eta = np.array([run.cfg.eta for run in runs])
+    accum = cfg.accum_grad
     sgd_cost = n * GRAD_EVALS_PER_SGD_STEP[accum]
-    state = initial_state(ds.dimension)
-    x = state.x
+    state = initial_state((len(runs), ds.dimension))
     wall = 0.0
 
     if cfg.algo == "vrlite":
@@ -237,21 +267,31 @@ def _run_sequential(cfg, model, ds, record):
     elif cfg.algo == "svrg":
         def run_epoch(epoch):
             # snapshot pass plus 2n two-gradient steps
-            return svrg_epoch(x, model, ds, eta, rng), n + (2 * n) * 2
+            state.x = svrg_epoch(state.x, model, ds, eta, rng)
+            return state.x, n + (2 * n) * 2
     else:
-        table = saga_init(model, ds, x)
+        assert len(runs) == 1, "SAGA runs one at a time"
+        table = saga_init(model, ds, state.x[0])
         wall += n  # filling the table costs one gradient pass
 
         def run_epoch(epoch):
             nonlocal table
-            x_new, table = saga_epoch(x, model, ds, table, eta, rng)
-            return x_new, n
+            x, table = saga_epoch(state.x[0], model, ds, table, cfg.eta, rng)
+            state.x = x[None]
+            return state.x, n
 
     for epoch in range(1, cfg.epochs + 1):
         x, cost = run_epoch(epoch)
         wall += cost
-        if record(epoch, wall, x):
-            return
+        going = [not run.record(epoch, wall, xk) for run, xk in zip(runs, x)]
+        if not all(going):
+            runs = [run for run, g in zip(runs, going) if g]
+            if not runs:
+                return
+            eta = eta[going]
+            avg = state.averages
+            state = OptState(state.x[going], EpochAverages(
+                avg.x_bar[going], avg.g_bar[going], avg.steps), state.epoch_index)
 
 
 def epochs_to_target(rows: list[MetricsRow], target: float) -> int | None:
@@ -268,20 +308,29 @@ def stepsize_sweep(cfg: ExperimentConfig, grid=None) -> SweepResult:
     Best means fewest epochs to reach cfg.target_rel; ties go to the
     smaller stepsize, so the answer does not depend on grid order.
     Diverged runs and runs that never reach the target are excluded.
-    best_eta is None when nothing qualifies."""
+    best_eta is None when nothing qualifies.
+
+    Sequential SGD, SVRG and vrlite sweeps run every grid point in lock
+    step (see `_run_sequential`); SAGA and distributed sweeps run one
+    point after the other. Either way each outcome equals that of
+    run_experiment at that stepsize with stop_at_rel = target_rel."""
     grid = DEFAULT_GRID if grid is None else tuple(grid)
     if not grid or any(not (g > 0 and math.isfinite(g)) for g in grid):
         raise ValueError("sweep grid must contain positive finite stepsizes")
     cfg.validate()
     ds, model = load_dataset(cfg)  # once: no grid point changes the data
+    runs = [_Run(replace(cfg, eta=float(eta), stop_at_rel=cfg.target_rel,
+                         out_path=None), model, ds) for eta in grid]
+    if cfg.mode == "seq" and cfg.algo != "saga":
+        _execute(runs, model, ds)
+    else:  # SAGA's tables and distributed transports: one point at a time
+        for run in runs:
+            _execute([run], model, ds)
     outcomes = []
-    for eta in grid:
-        run_cfg = replace(cfg, eta=float(eta), stop_at_rel=cfg.target_rel,
-                          out_path=None)
-        res = _run(run_cfg, ds, model)
-        reached = epochs_to_target(res.rows, cfg.target_rel)
-        final = res.rows[-1].rel_grad_norm if res.rows else None
-        outcomes.append(EtaOutcome(float(eta), reached, res.diverged, final))
+    for run in runs:
+        reached = epochs_to_target(run.rows, cfg.target_rel)
+        final = run.rows[-1].rel_grad_norm if run.rows else None
+        outcomes.append(EtaOutcome(run.cfg.eta, reached, run.diverged, final))
     candidates = [(o.epochs_to_target, o.eta) for o in outcomes
                   if not o.diverged and o.epochs_to_target is not None]
     best = min(candidates)[1] if candidates else None

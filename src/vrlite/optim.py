@@ -17,6 +17,7 @@ seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ class EpochAverages:
     steps: int
 
     @classmethod
-    def zeros(cls, d: int) -> "EpochAverages":
+    def zeros(cls, d) -> "EpochAverages":
         return cls(np.zeros(d), np.zeros(d), 0)
 
 
@@ -80,8 +81,9 @@ def vrlite_step(model: LossModel, sample, x, averages: EpochAverages, eta: float
     return vr_step(x, g_x, g_ref, averages.g_bar, eta)
 
 
-def _check_eta(eta: float):
-    if not (np.isfinite(eta) and eta >= 0.0):
+def _check_eta(eta):
+    """eta: one stepsize, or one per run."""
+    if not all(math.isfinite(v) and v >= 0.0 for v in np.ravel(eta).tolist()):
         raise ValueError("eta must be finite and >= 0")
 
 
@@ -99,26 +101,45 @@ def _epoch(model, ds, x, order, eta, anchor=None, accum_grad=None):
     the compiled kernel, or in `_epoch_py` when there is none; neither
     writes to x or the anchor.
 
-    Returns (x, EpochAverages or None)."""
+    x is one iterate (d,), or K iterates (K, d) that run in lock step over
+    the same order, each with its own stepsize (eta of shape (K,), or one
+    shared) and anchor (entries shaped like x); every run steps exactly
+    as it would alone.
+
+    Returns (x, EpochAverages or None), shaped like the input."""
     F, L = _kernel.rows(ds)
     n, d = F.shape
     order = _kernel.indices(order, n)
-    x = _kernel.vector(x, d, "x")
+    shape = (d,) if np.ndim(x) == 1 else (len(x), d)
+    x = _kernel.matrix(x, shape, "x").reshape(-1, d)
     if anchor is not None:
-        anchor = (_kernel.vector(anchor[0], d, "x_bar"),
-                  _kernel.vector(anchor[1], d, "g_bar"))
+        anchor = [_kernel.matrix(v, shape, what).reshape(-1, d)
+                  for v, what in zip(anchor, ("x_bar", "g_bar"))]
     run = _epoch_py if _kernel.lib is None else _kernel.epoch
     x, acc_x, acc_g = run(F, L, order, x, anchor, accum_grad,
                           model.kind == "logistic", 2.0 * model.lam, eta)
+    x = x.reshape(shape)
     if accum_grad is None:
         return x, None
     steps = len(order)
-    return x, EpochAverages(acc_x / steps, acc_g / steps, steps)
+    return x, EpochAverages(acc_x.reshape(shape) / steps,
+                            acc_g.reshape(shape) / steps, steps)
 
 
 def _epoch_py(F, L, order, x, anchor, accum_grad, logistic, lam2, eta):
-    """`_kernel.epoch` in Python: the loop without a compiled kernel, and
-    the reference the tests hold the kernel to."""
+    """`_kernel.epoch` in Python, one run after the other: the loop
+    without a compiled kernel, and the reference the tests hold the
+    kernel to."""
+    eta = np.broadcast_to(eta, (len(x),))
+    out = [_run_py(F, L, order, x[k], None if anchor is None else
+                   (anchor[0][k], anchor[1][k]), accum_grad, logistic, lam2,
+                   float(eta[k]))
+           for k in range(x.shape[0])]
+    return tuple(np.array(v) for v in zip(*out))
+
+
+def _run_py(F, L, order, x, anchor, accum_grad, logistic, lam2, eta):
+    """One run of `_epoch_py`: (x, acc_x, acc_g) for x of shape (d,)."""
     accumulate = accum_grad is not None
     reuse = accum_grad == "reuse"
     acc_x = np.zeros_like(x)
@@ -148,8 +169,9 @@ def _permuted_epoch(model, ds, x, eta, rng, accum_grad, anchor, epoch_index):
     return OptState(x=x, averages=averages, epoch_index=epoch_index)
 
 
-def initial_state(d: int) -> OptState:
-    """Zero iterate with zeroed averages, epoch counter at 0."""
+def initial_state(d) -> OptState:
+    """Zero iterate with zeroed averages, epoch counter at 0; d is the
+    dimension, or (K, d) for K runs in lock step."""
     return OptState(x=np.zeros(d), averages=EpochAverages.zeros(d), epoch_index=0)
 
 
@@ -161,8 +183,12 @@ def vrlite_init(model: LossModel, ds: Dataset, eta: float,
     accum_grad picks where the accumulated gradient is evaluated: "post"
     evaluates it at the just-updated iterate (one extra gradient per
     step), "reuse" reuses the step gradient already in hand.
+
+    With K stepsizes (eta of shape (K,)) it starts K runs from zero in
+    lock step, and every OptState array has shape (K, d).
     """
-    return _permuted_epoch(model, ds, np.zeros(ds.dimension), eta, rng,
+    x0 = np.zeros(np.shape(eta) + (ds.dimension,))
+    return _permuted_epoch(model, ds, x0, eta, rng,
                            accum_grad, None, 1)
 
 
@@ -191,7 +217,9 @@ def svrg_epoch(x: np.ndarray, model: LossModel, ds: Dataset, eta: float,
     with replacement. Returns the last inner iterate.
 
     inner_steps defaults to 2n. All inner indices are drawn from rng up
-    front, so the consumption of randomness is well defined.
+    front, so the consumption of randomness is well defined. With K
+    iterates (x of shape (K, d)) and K stepsizes, K rounds run in lock
+    step over the same indices, each with its own snapshot.
     """
     _check_eta(eta)
     n = len(ds)
@@ -199,7 +227,8 @@ def svrg_epoch(x: np.ndarray, model: LossModel, ds: Dataset, eta: float,
     if inner < 0:
         raise ValueError("inner_steps must be >= 0")
     y = x.copy()
-    g_full = full_gradient(model, ds, y)
+    g_full = np.reshape([full_gradient(model, ds, v) for v in
+                         y.reshape(-1, y.shape[-1])], y.shape)
     x, _ = _epoch(model, ds, x, rng.integers(0, n, size=inner), eta,
                   anchor=(y, g_full))
     return x

@@ -52,10 +52,19 @@ def test_config_validation():
         _cfg(lam=float("inf")),
         _cfg(dataset="mnist"),
         _cfg(accum_grad="bogus"),
+        _cfg(target_rel=float("nan")),
+        _cfg(target_rel=float("inf")),
+        _cfg(target_rel=0.0),
+        _cfg(target_rel=-1.0),
+        _cfg(stop_at_rel=float("nan")),
+        _cfg(stop_at_rel=float("inf")),
+        _cfg(stop_at_rel=0.0),
+        _cfg(stop_at_rel=-1.0),
     ]
     for cfg in bad:
         with pytest.raises(ValueError):
             cfg.validate()
+    _cfg(target_rel=1e-300, stop_at_rel=1e-300).validate()
 
 
 def test_run_requires_eta():
@@ -326,21 +335,32 @@ def test_sweep_excludes_divergent_and_hopeless_points():
     assert huge.diverged
 
 
-def test_sweep_loads_its_dataset_once(monkeypatch, tmp_path, tiny_ridge):
-    path = tmp_path / "reg.libsvm"
-    path.write_text(format_libsvm(tiny_ridge[0]))
-    cfg = _cfg(dataset=f"libsvm:{path}", eta=None, epochs=30)
-    # The sweep as one run_experiment per grid point, each loading the file.
-    outcomes = []
-    for eta in DEFAULT_GRID:
+def _sweep_one_point_at_a_time(cfg, grid=DEFAULT_GRID):
+    """The sweep as one run_experiment per grid point, each loading its
+    dataset and drawing from its own stream, and the ran epoch counts."""
+    outcomes, ran = [], []
+    for eta in grid:
         res = run_experiment(replace(cfg, eta=eta, stop_at_rel=cfg.target_rel))
         outcomes.append(bench.EtaOutcome(
             eta, epochs_to_target(res.rows, cfg.target_rel), res.diverged,
             res.rows[-1].rel_grad_norm))
+        ran.append(res.rows[-1].epoch + res.diverged)
     reached = [(o.epochs_to_target, o.eta) for o in outcomes
                if not o.diverged and o.epochs_to_target is not None]
-    want = bench.SweepResult(min(reached)[1], cfg.target_rel, outcomes)
-    assert any(o.diverged for o in outcomes)
+    best = min(reached)[1] if reached else None
+    return bench.SweepResult(best, cfg.target_rel, outcomes), ran
+
+
+def _libsvm(tmp_path, ds):
+    path = tmp_path / "data.libsvm"
+    path.write_text(format_libsvm(ds))
+    return f"libsvm:{path}"
+
+
+def test_sweep_loads_its_dataset_once(monkeypatch, tmp_path, tiny_ridge):
+    cfg = _cfg(dataset=_libsvm(tmp_path, tiny_ridge[0]), eta=None, epochs=30)
+    want, _ = _sweep_one_point_at_a_time(cfg)
+    assert any(o.diverged for o in want.outcomes)
 
     loads = []
     real = bench.load_dataset
@@ -352,6 +372,53 @@ def test_sweep_loads_its_dataset_once(monkeypatch, tmp_path, tiny_ridge):
     monkeypatch.setattr(bench, "load_dataset", counting)
     assert stepsize_sweep(cfg) == want
     assert loads == [cfg.dataset]
+
+
+# 1e-4 misses the target within the budget and 1e6 diverges; a point in
+# between stops early for every algorithm on both tiny sets. Six points
+# fill one block of four lanes and part of a second.
+EQUIVALENCE_GRID = (1e-4, 0.0064, 0.0256, 0.1024, 0.4096, 1e6)
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
+@pytest.mark.parametrize("accum", ["post", "reuse"])
+@pytest.mark.parametrize("problem", ["tiny_class", "tiny_ridge"])
+@pytest.mark.parametrize("algo", ["sgd", "svrg", "vrlite", "saga"])
+def test_sweep_equals_one_run_per_point(request, monkeypatch, tmp_path, algo,
+                                        problem, accum, kernel):
+    """Lock step (SGD, SVRG, vrlite) or one point at a time (SAGA), the
+    sweep's outcomes are those of run_experiment at each stepsize."""
+    if kernel == "python":
+        monkeypatch.setattr(optim._kernel, "lib", None)
+    elif optim._kernel.lib is None:
+        pytest.skip("no compiled kernel")
+    ds = request.getfixturevalue(problem)[0]
+    cfg = _cfg(algo=algo, dataset=_libsvm(tmp_path, ds), eta=None, epochs=12,
+               target_rel=1e-2, accum_grad=accum)
+    want, _ = _sweep_one_point_at_a_time(cfg, EQUIVALENCE_GRID)
+    kinds = {"diverged" if o.diverged else o.epochs_to_target is not None
+             for o in want.outcomes}
+    assert kinds == {"diverged", True, False}
+    assert stepsize_sweep(cfg, EQUIVALENCE_GRID) == want
+
+
+def test_lock_step_sweep_draws_each_order_once(monkeypatch):
+    """One permutation per epoch of the longest-running point, where one
+    run per point draws one per point-epoch."""
+    draws = []
+    real = optim.permutation
+
+    def counting(n, rng):
+        draws.append(n)
+        return real(n, rng)
+
+    monkeypatch.setattr(optim, "permutation", counting)
+    cfg = _cfg(dataset="toy-reg", eta=None, epochs=30)
+    want, ran = _sweep_one_point_at_a_time(cfg)
+    assert len(draws) == sum(ran)
+    draws.clear()
+    assert stepsize_sweep(cfg) == want
+    assert len(draws) == max(ran) < sum(ran)
 
 
 def test_sweep_validates_grid():

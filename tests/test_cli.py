@@ -83,6 +83,15 @@ def test_non_finite_latency_exits_one(tmp_path, capsys, latency):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["nan", "-1", "0", "inf"])
+def test_bad_target_rel_exits_one(tmp_path, capsys, target):
+    code, out = _run(tmp_path, "--algo", "vrlite", "--dataset", "toy-reg",
+                     "--sweep", "0.0004", "--epochs", "3", "--target-rel", target)
+    assert code == 1
+    assert "target_rel must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_libsvm_file_exits_one(tmp_path, capsys):
     code, _ = _run(tmp_path, "--algo", "vrlite",
                    "--dataset", f"libsvm:{tmp_path}/nope.txt",

@@ -2,9 +2,11 @@
 a cache that survives races, damage and a missing compiler."""
 
 import contextlib
+import ctypes
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vrlite import _kernel, optim
+from vrlite.bench import ExperimentConfig, stepsize_sweep
+from vrlite.data import format_libsvm
 from vrlite.distributed import engine
 from vrlite.distributed.engine import DistributedConfig, run_distributed
 from vrlite.model import Dataset, LossModel
@@ -229,13 +233,51 @@ def _problems(draw):
 def test_compiled_epoch_equals_python_epoch(problem, data):
     F, L, order, x, logistic, lam2, eta = problem
     d = x.shape[0]
-    anchor = data.draw(st.one_of(st.none(), st.tuples(_arrays(d), _arrays(d))))
+    anchor = data.draw(st.one_of(st.none(), st.tuples(_arrays((1, d)),
+                                                      _arrays((1, d)))))
     accum = data.draw(st.sampled_from([None, "post", "reuse"]))
-    args = (F, L, order, x, anchor, accum, logistic, lam2, eta)
+    args = (F, L, order, x[None], anchor, accum, logistic, lam2, np.array([eta]))
     compiled = _kernel.epoch(*args)
     with _python_kernel():
         python = optim._epoch_py(*args)
     _assert_same_bits(compiled, python)
+
+
+_etas = st.one_of(st.sampled_from([0.0, 1e-4, 3.2e-3, 0.4096, 1e3]), st.floats(0, 1e3))
+
+
+@needs_lib
+@settings(max_examples=300, deadline=None)
+@given(_problems(), st.integers(1, 9), st.data())
+def test_every_lane_equals_its_own_run(problem, K, data):
+    """K runs over one order, each with its own start, anchor and
+    stepsize (some overflowing next to finite ones), through every lane
+    path of the build and the default dispatch: each lane equals the
+    one-run kernel and `_epoch_py` bit for bit. K up to 9 leaves partial
+    last blocks of every fill at widths 2 and 4."""
+    F, L, order, x, logistic, lam2, eta = problem
+    d = x.shape[0]
+    starts = [np.ldexp(data.draw(_arrays(d)), data.draw(st.sampled_from([0, 1020])))
+              for _ in range(K - 1)]
+    x = np.array([x] + starts)
+    eta = np.array([eta] + [data.draw(_etas) for _ in range(K - 1)])
+    anchor = data.draw(st.one_of(st.none(), st.tuples(_arrays((K, d)),
+                                                      _arrays((K, d)))))
+    accum = data.draw(st.sampled_from([None, "post", "reuse"]))
+    want = []
+    for k in range(K):
+        one = (F, L, order, x[k:k + 1], None if anchor is None else
+               (anchor[0][k:k + 1], anchor[1][k:k + 1]), accum, logistic, lam2,
+               eta[k:k + 1])
+        ref = optim._epoch_py(*one)
+        _assert_same_bits(_kernel.epoch(*one, width=1), ref)
+        want.append(ref)
+    args = (F, L, order, x, anchor, accum, logistic, lam2, eta)
+    for width in [None, *_kernel.lib.paths]:
+        got = _kernel.epoch(*args, width=width)
+        assert all(g.shape == (K, d) for g in got)
+        for k in range(K):
+            _assert_same_bits([g[k] for g in got], [w[0] for w in want[k]])
 
 
 @needs_lib
@@ -258,6 +300,45 @@ def test_compiled_saga_epoch_equals_saga_step_loop(problem, data):
             want_x, state = optim.saga_step(want_x, int(i), m, ds, state, eta)
     _assert_same_bits([got_x, got_table, got_mean],
                       [want_x, state.grad_table, state.table_mean])
+
+
+def _cpu_has_avx2() -> bool:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return any(line.startswith("flags") and " avx2" in line for line in f)
+    except OSError:
+        return False
+
+
+@needs_lib
+def test_lane_paths_of_this_build():
+    """No -march flag: the AVX2 lanes come from a per-function target
+    and are used only where the CPU has AVX2."""
+    paths = _kernel.lib.paths
+    assert not any(f.startswith("-march") for f in _kernel.FLAGS)
+    assert {1, 2} <= set(paths) <= {1, 2, 4}
+    assert _kernel.lib.width == max(paths)
+    if platform.machine() == "x86_64" and _cpu_has_avx2():
+        assert 4 in paths
+
+
+@needs_gcc
+def test_baseline_only_build_gives_the_same_sweeps(tmp_path, monkeypatch, tiny_ridge):
+    """A build without the AVX2 path (as on a non-x86 gcc) has the
+    one-run and two-lane paths, and its sweeps equal this build's."""
+    so = tmp_path / "baseline.so"
+    subprocess.run(["gcc", *_kernel.FLAGS, "-DVRLITE_BASELINE_ONLY", "-o", str(so),
+                    str(SRC / "vrlite" / "_kernel.c"), "-lm"], check=True)
+    dll = _kernel._bind(ctypes.CDLL(str(so)))
+    assert sorted(dll.paths) == [1, 2] and dll.width == 2
+    data = tmp_path / "ridge.libsvm"
+    data.write_text(format_libsvm(tiny_ridge[0]))
+    for algo in ("sgd", "svrg", "vrlite"):
+        cfg = ExperimentConfig(algo=algo, dataset=f"libsvm:{data}", epochs=20)
+        want = stepsize_sweep(cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernel, "lib", dll)
+            assert stepsize_sweep(cfg) == want
 
 
 # ----------------------------------------------------- input guards

@@ -193,10 +193,13 @@ def indices(order, n: int) -> np.ndarray:
     if order.ndim != 1 or order.dtype.kind not in "iu":
         raise IndexError(f"sample order must be a 1-d integer array, got "
                          f"dtype {order.dtype} and shape {order.shape}")
-    if order.size and (order.min() < 0 or order.max() >= n):
+    idx = np.require(order, np.int64, ("C", "A"))
+    # Seen as unsigned, a negative index is >= 2**63, so one reduction
+    # checks both ends of the range.
+    if idx.size and idx.view(np.uint64).max() >= n:
         raise IndexError(f"sample index out of range for n={n}: "
                          f"[{order.min()}, {order.max()}]")
-    return np.require(order, np.int64, ("C", "A"))
+    return idx
 
 
 def dot(a, x) -> float:

@@ -10,6 +10,8 @@ reports real elapsed milliseconds.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -136,18 +138,32 @@ class SweepResult:
 
 def load_dataset(cfg: ExperimentConfig) -> tuple[Dataset, LossModel]:
     """Materialize the configured dataset and the matching loss model
-    (logistic for classification tasks, ridge otherwise)."""
-    if cfg.dataset == "toy-class":
-        ds = gen_gaussian_classification(
-            SyntheticSpec(n=TOY_N, d=TOY_D, task="classification", seed=cfg.seed))
-    elif cfg.dataset == "toy-reg":
-        ds, _ = gen_linear_regression(
-            SyntheticSpec(n=TOY_N, d=TOY_D, task="regression", seed=cfg.seed))
+    (logistic for classification tasks, ridge otherwise). A toy dataset
+    is shared and read-only (see `_toy`); a LIBSVM file is read afresh
+    on every call, since it may change between calls."""
+    if cfg.dataset.startswith("libsvm:"):
+        ds = load_libsvm(cfg.dataset.split(":", 1)[1])
     else:
-        path = cfg.dataset.split(":", 1)[1]
-        ds = load_libsvm(path)
+        ds = _toy(cfg.dataset, cfg.seed)
     kind = "logistic" if ds.task == "classification" else "ridge"
     return ds, LossModel(kind, cfg.lam)
+
+
+@functools.lru_cache(maxsize=2)
+def _toy(name: str, seed: int) -> Dataset:
+    """The toy dataset of this name and seed, built once per process for
+    the last two keys asked for. The generators are pure functions of
+    the seed, so a rebuild would give the same bits; the arrays are made
+    read-only so that no caller can change the copy others share."""
+    if name == "toy-class":
+        ds = gen_gaussian_classification(
+            SyntheticSpec(n=TOY_N, d=TOY_D, task="classification", seed=seed))
+    else:
+        ds, _ = gen_linear_regression(
+            SyntheticSpec(n=TOY_N, d=TOY_D, task="regression", seed=seed))
+    ds.features.flags.writeable = False
+    ds.labels.flags.writeable = False
+    return ds
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -354,11 +370,18 @@ def render_csv(rows: list[MetricsRow]) -> str:
 
 
 def write_csv(rows: list[MetricsRow], path: str | os.PathLike):
-    """Atomically write the rows: the file appears complete or not at all."""
+    """Atomically write the rows: the file appears complete or not at all,
+    and a failed write or rename leaves no temporary file behind."""
     text = render_csv(rows)
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    fh = open(tmp, "w", newline="")
+    try:
+        with fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # keep the first error
+            os.remove(tmp)
+        raise

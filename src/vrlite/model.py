@@ -106,12 +106,10 @@ def _sigmoid(z: float) -> float:
 
 
 def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # _sigmoid's two branches over one shared exp(-|z|) <= 1: exp(-z) where
+    # z >= 0 and exp(z) elsewhere, so each element gets _sigmoid's bits.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softplus(z: float) -> float:
@@ -164,51 +162,50 @@ def grad_sample(model: LossModel, sample: LabeledSample, x: np.ndarray) -> np.nd
 
 def objective(model: LossModel, ds: Dataset, x: np.ndarray) -> float:
     """Full objective (1/n) sum_i f_i(x), computed with vectorized math."""
-    return _objective_at(model, ds, x, _margins(ds, x))
+    return _objective_at(model, x, _terms(model, ds, x))
 
 
 def full_gradient(model: LossModel, ds: Dataset, x: np.ndarray) -> np.ndarray:
     """Mean of the per-sample gradients over the whole dataset."""
-    return _gradient_at(model, ds, x, _margins(ds, x))
+    return _gradient_at(model, ds, x, _terms(model, ds, x))
 
 
 def _objective_and_gradient(model: LossModel, ds: Dataset,
                             x: np.ndarray) -> tuple[float, np.ndarray]:
-    """objective and full_gradient at x from one shared F @ x: the same
-    bits as the two calls, with one matrix-vector product fewer."""
-    z = _margins(ds, x)
-    return _objective_at(model, ds, x, z), _gradient_at(model, ds, x, z)
+    """objective and full_gradient at x from one shared _terms (one
+    F @ x and one b * z or z - b): the same bits as the two calls."""
+    t = _terms(model, ds, x)
+    return _objective_at(model, x, t), _gradient_at(model, ds, x, t)
 
 
-def _margins(ds: Dataset, x: np.ndarray) -> np.ndarray:
-    """z = F @ x, every sample's margin at x."""
+def _terms(model: LossModel, ds: Dataset, x: np.ndarray) -> np.ndarray:
+    """Each sample's data loss at x as a function of one number t[i], from
+    the margins z = F @ x: t = b * z (logistic) or t = z - b (ridge)."""
     _check_dim(x.shape[0], ds.dimension)
-    return ds.features @ x
-
-
-def _objective_at(model: LossModel, ds: Dataset, x: np.ndarray,
-                  z: np.ndarray) -> float:
-    """objective at x from its margins z = F @ x."""
+    z = ds.features @ x
     if model.kind == "logistic":
-        data = np.logaddexp(0.0, ds.labels * z)
-    else:
-        r = z - ds.labels
-        data = r * r
+        return ds.labels * z
+    return z - ds.labels
+
+
+def _objective_at(model: LossModel, x: np.ndarray, t: np.ndarray) -> float:
+    """objective at x from its _terms t."""
+    data = np.logaddexp(0.0, t) if model.kind == "logistic" else t * t
     return float(data.mean() + model.lam * np.dot(x, x))
 
 
-def _grad_coefs(model: LossModel, ds: Dataset, z: np.ndarray) -> np.ndarray:
+def _grad_coefs(model: LossModel, ds: Dataset, t: np.ndarray) -> np.ndarray:
     """coefs such that sample i's loss gradient at x is coefs[i] * a_i,
-    from the margins z = F @ x (the regularizer's 2 lam x excluded)."""
+    from the _terms t at x (the regularizer's 2 lam x excluded)."""
     if model.kind == "logistic":
-        return ds.labels * _sigmoid_vec(ds.labels * z)
-    return 2.0 * (z - ds.labels)
+        return ds.labels * _sigmoid_vec(t)
+    return 2.0 * t
 
 
 def _gradient_at(model: LossModel, ds: Dataset, x: np.ndarray,
-                 z: np.ndarray) -> np.ndarray:
-    """full_gradient at x from its margins z = F @ x."""
-    coefs = _grad_coefs(model, ds, z)
+                 t: np.ndarray) -> np.ndarray:
+    """full_gradient at x from its _terms t."""
+    coefs = _grad_coefs(model, ds, t)
     return (ds.features.T @ coefs) / len(ds) + (2.0 * model.lam) * x
 
 

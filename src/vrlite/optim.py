@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .model import Dataset, LossModel, _grad_coefs, _margins, _row_grad, full_gradient
+from .model import Dataset, LossModel, _grad_coefs, _row_grad, _terms, full_gradient
 
 ACCUM_MODES = ("post", "reuse")
 
@@ -244,7 +244,7 @@ class SagaState:
 
 def saga_init(model: LossModel, ds: Dataset, x0: np.ndarray) -> SagaState:
     """Fill the gradient table with per-sample gradients at x0."""
-    coefs = _grad_coefs(model, ds, _margins(ds, x0))
+    coefs = _grad_coefs(model, ds, _terms(model, ds, x0))
     table = coefs[:, None] * ds.features + (2.0 * model.lam) * x0
     return SagaState(grad_table=table, table_mean=table.mean(axis=0))
 

@@ -20,7 +20,12 @@ from vrlite.bench import (
     stepsize_sweep,
     write_csv,
 )
-from vrlite.data import format_libsvm
+from vrlite.data import (
+    SyntheticSpec,
+    format_libsvm,
+    gen_gaussian_classification,
+    gen_linear_regression,
+)
 from vrlite.model import full_gradient, objective
 
 
@@ -87,6 +92,58 @@ def test_load_dataset_libsvm(tmp_path, tiny_class):
     ds, m = load_dataset(_cfg(dataset=f"libsvm:{path}"))
     assert m.kind == "logistic"
     np.testing.assert_array_equal(ds.labels, src.labels)
+
+
+def _fresh_toy(name, seed):
+    if name == "toy-class":
+        return gen_gaussian_classification(SyntheticSpec(
+            n=bench.TOY_N, d=bench.TOY_D, task="classification", seed=seed))
+    return gen_linear_regression(SyntheticSpec(
+        n=bench.TOY_N, d=bench.TOY_D, task="regression", seed=seed))[0]
+
+
+def _assert_same_toy(ds, fresh):
+    assert ds.task == fresh.task
+    for got, want in ((ds.features, fresh.features), (ds.labels, fresh.labels)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["toy-class", "toy-reg"])
+def test_toy_dataset_is_built_once_and_read_only(name):
+    ds, _ = load_dataset(_cfg(dataset=name, seed=3))
+    again, model = load_dataset(_cfg(dataset=name, seed=3, lam=0.5))
+    assert again is ds and model.lam == 0.5
+    _assert_same_toy(ds, _fresh_toy(name, 3))
+    for arr in (ds.features, ds.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.features[:, 0] *= 2.0
+    _assert_same_toy(ds, _fresh_toy(name, 3))
+
+
+def test_toy_memo_never_shares_across_names_or_seeds():
+    keys = [("toy-class", 0), ("toy-class", 1), ("toy-reg", 0), ("toy-reg", 1),
+            ("toy-class", 0), ("toy-reg", 1)]  # evicted and kept entries alike
+    for name, seed in keys:
+        ds, _ = load_dataset(_cfg(dataset=name, seed=seed))
+        _assert_same_toy(ds, _fresh_toy(name, seed))
+    a, _ = load_dataset(_cfg(dataset="toy-class", seed=0))
+    b, _ = load_dataset(_cfg(dataset="toy-class", seed=1))
+    assert a is not b and not np.array_equal(a.features, b.features)
+
+
+def test_libsvm_file_is_read_afresh_on_every_load(tmp_path, tiny_class, tiny_ridge):
+    path = tmp_path / "data.libsvm"
+    path.write_text(format_libsvm(tiny_class[0]))
+    cfg = _cfg(dataset=f"libsvm:{path}")
+    first, m1 = load_dataset(cfg)
+    path.write_text(format_libsvm(tiny_ridge[0]))
+    second, m2 = load_dataset(cfg)
+    assert (m1.kind, m2.kind) == ("logistic", "ridge")
+    np.testing.assert_array_equal(first.labels, tiny_class[0].labels)
+    np.testing.assert_array_equal(second.labels, tiny_ridge[0].labels)
 
 
 # ------------------------------------------------------------------ rows
@@ -273,12 +330,29 @@ def test_write_csv_is_atomic_and_clean(tmp_path):
     assert path.read_text() == render_csv(rows + rows)
 
 
+def test_write_csv_failure_leaves_no_temp_file(tmp_path, monkeypatch):
+    rows = [MetricsRow("sgd", "seq", 1, 0, 0.0, 1.0, 1.0, 0.1, 0)]
+    path = tmp_path / "out.csv"
+    write_csv(rows, path)
+
+    def failing_fsync(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="No space left"):
+        write_csv(rows + rows, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    assert path.read_text() == render_csv(rows)  # the old file is untouched
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     cfg_a = _cfg(algo="vrlite", eta=0.05, epochs=4,
                  out_path=str(tmp_path / "a.csv"))
     cfg_b = replace(cfg_a, out_path=str(tmp_path / "b.csv"))
-    run_experiment(cfg_a)
-    run_experiment(cfg_b)
+    bench._toy.cache_clear()
+    first = run_experiment(cfg_a)    # builds the toy set
+    second = run_experiment(cfg_b)   # reuses it
+    assert first.rows == second.rows
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 

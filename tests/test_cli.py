@@ -92,6 +92,20 @@ def test_bad_target_rel_exits_one(tmp_path, capsys, target):
     assert not out.exists()
 
 
+def test_out_path_that_is_a_directory_exits_one_and_leaves_no_temp_file(
+        tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    code = main(["--algo", "vrlite", "--dataset", "toy-class", "--eta", "0.0032",
+                 "--epochs", "2", "--out", str(out)])
+    assert code == 1
+    assert "Is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "kept"
+
+
 def test_missing_libsvm_file_exits_one(tmp_path, capsys):
     code, _ = _run(tmp_path, "--algo", "vrlite",
                    "--dataset", f"libsvm:{tmp_path}/nope.txt",

@@ -397,6 +397,33 @@ def test_epoch_rejects_bad_order(kernel):
     assert np.isfinite(out).all()
 
 
+@pytest.mark.parametrize("order", [
+    np.array([0, -1]),
+    np.array([2, 4, 0]),                          # n itself
+    np.array([-2**63, 3]),
+    np.array([2**63 - 1]),
+    np.array([-1], dtype=np.int8),
+    np.array([4], dtype=np.uint8),
+    np.array([2**32 - 1], dtype=np.uint32),
+    np.array([0, 2**63], dtype=np.uint64),        # negative as an int64
+    np.array([2**64 - 1, 1], dtype=np.uint64),
+], ids=lambda o: f"{o.dtype}{o.tolist()}")
+def test_indices_rejects_either_end_and_names_the_range(order):
+    want = f"sample index out of range for n=4: [{order.min()}, {order.max()}]"
+    with pytest.raises(IndexError) as err:
+        _kernel.indices(order, 4)
+    assert str(err.value) == want
+
+
+def test_indices_accepts_every_integer_dtype_and_an_empty_order():
+    for dtype in (np.int8, np.uint8, np.int32, np.uint32, np.int64, np.uint64):
+        got = _kernel.indices(np.array([3, 0, 3], dtype=dtype), 4)
+        assert got.dtype == np.int64 and got.tolist() == [3, 0, 3]
+        for n in (0, 4):
+            empty = _kernel.indices(np.array([], dtype=dtype), n)
+            assert empty.dtype == np.int64 and empty.shape == (0,)
+
+
 def test_saga_rejects_wrong_shapes_and_keeps_x(kernel):
     ds, m = _small()
     x = np.full(3, 0.5)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vrlite import (
     Dataset,
@@ -13,6 +16,7 @@ from vrlite import (
     objective,
     rel_grad_norm,
 )
+from vrlite.model import _sigmoid_vec
 from conftest import finite_difference_gradient
 
 
@@ -177,3 +181,42 @@ def test_operations_are_pure(tiny_class):
     g2 = full_gradient(m, ds, x)
     np.testing.assert_array_equal(g1, g2)
     assert objective(m, ds, x) == objective(m, ds, x)
+
+
+def _sigmoid_vec_masked(z):
+    """The masked-indexing sigmoid that _sigmoid_vec replaced, kept as
+    its reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _assert_same_bits(got, want):
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64),
+                                  want[~nan].view(np.uint64))
+
+
+_SIGMOID_EDGES = (0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 709.8, -709.8,
+                  36.8, -36.8, 1e308, -1e308, 5e-324, -5e-324,
+                  np.inf, -np.inf, np.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 600),
+                  elements=st.one_of(st.floats(width=64),
+                                     st.sampled_from(_SIGMOID_EDGES))))
+def test_sigmoid_vec_equals_masked_reference(z):
+    _assert_same_bits(_sigmoid_vec(z), _sigmoid_vec_masked(z))
+
+
+def test_sigmoid_vec_equals_masked_reference_on_metric_sized_rows():
+    rng = np.random.default_rng(0)
+    for scale in np.geomspace(1e-3, 700.0, 24):
+        z = scale * rng.standard_normal(5000)
+        z[:len(_SIGMOID_EDGES)] = _SIGMOID_EDGES
+        _assert_same_bits(_sigmoid_vec(z), _sigmoid_vec_masked(z))

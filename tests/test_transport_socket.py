@@ -1,12 +1,8 @@
 """Localhost TCP transport, checked against the simulated transport."""
 
-import os
 import struct
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,14 +179,3 @@ def test_async_socket_runs_leave_no_thread_alive(prob):
         assert set(threading.enumerate()) <= before
         assert res.central.reports_seen.tolist() == [4, 4]
 
-
-def test_socket_demo_runs():
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, str(root / "demos" / "socket_transport.py")],
-                         cwd=root, env=env, capture_output=True, text=True,
-                         timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert "bit-identical" in out.stdout

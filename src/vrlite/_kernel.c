@@ -15,7 +15,7 @@
  * the new x[j] is written, the same pass adds a_next[j] * x[j] (the next
  * step's margin), a_next[j] * x_ref[j] (its anchor margin) and, for "post",
  * a[j] * x[j]. Each of these is its own left-to-right chain from 0.0, as
- * seq_dot sums it; the compiler may not reassociate floating-point sums
+ * dot sums it; the compiler may not reassociate floating-point sums
  * (no -ffast-math), so interleaving independent chains leaves every bit
  * in place. Only "post" needs a second pass, because its gradient waits
  * for the margin of the finished iterate.
@@ -26,15 +26,17 @@
  * lane's arithmetic is the one-run arithmetic, element by element (gcc's
  * vector extensions round each element as the scalar operation does, and
  * every margin stays its own chain from 0.0), so every lane equals a run
- * of its own bit for bit. Three instantiations:
- *   epoch         T = double, W = 1: one run at a time, the path of every
- *                 single run;
+ * of its own bit for bit. Three static instantiations:
+ *   epoch_one     T = double, W = 1: one run, in the caller's arrays;
  *   epoch_lanes2  two lanes of the baseline ISA (SSE2 on x86-64);
  *   epoch_lanes4  four AVX2 lanes, x86-64 only, built with a per-function
  *                 target attribute so the file needs no -march flag.
- * lane_width() names the widest path this CPU runs. Per-run arrays are
- * laid out (blocks, d, W): element j of lane w in block b sits at
- * (b * d + j) * W + w, and the caller pads the last block.
+ * `epoch`, the one entry, takes K runs as (K, d) row-major arrays and steps
+ * them in blocks of lane_width(), the widest width this CPU runs, picked
+ * once when the library loads. It copies each block into the caller's
+ * `work` as (d, W) lanes, the lanes past the last run padded with 0, and
+ * copies the iterates and sums back afterwards. A block with one live run
+ * goes through epoch_one in place instead, which is faster there.
  *
  * The caller has checked every length and index. Nothing here allocates or
  * touches a Python object, so the calls run without the interpreter lock.
@@ -55,14 +57,6 @@ typedef double lanes2 __attribute__((vector_size(16), aligned(8), may_alias));
 #define AVX2 __attribute__((target("avx2")))
 typedef double lanes4 __attribute__((vector_size(32), aligned(8), may_alias));
 #endif
-
-static double seq_dot(const double *a, const double *x, int64_t d)
-{
-    double s = 0.0;
-    for (int64_t j = 0; j < d; j++)
-        s += a[j] * x[j];
-    return s;
-}
 
 /* model._grad_coef and model._sigmoid: the exp argument is never > 0. */
 static inline double grad_coef(int logistic, double margin, double label)
@@ -95,79 +89,79 @@ static inline double grad_coef(int logistic, double margin, double label)
 
 double dot(const double *a, const double *x, int64_t d)
 {
-    return seq_dot(a, x, d);
+    double s = 0.0;
+    for (int64_t j = 0; j < d; j++)
+        s += a[j] * x[j];
+    return s;
 }
 
-/* optim._epoch for `blocks` blocks of W runs: m steps over rows
- * order[0..m) of the (n, d) matrix F, block after block. x_ref and g_mean
- * are both NULL for plain SGD. accum is 0 (nothing accumulated), 1
- * ("post": the gradient at the updated iterate) or 2 ("reuse": the step
- * gradient); acc_x and acc_g receive the sums. eta holds one stepsize per
- * lane. */
+/* optim._epoch for the W runs of one block: m steps over rows
+ * order[0..m) of the (n, d) matrix F. Per-run arrays are (d, W): element j
+ * of lane w sits at j * W + w. x_ref and g_mean are both NULL for plain
+ * SGD. accum is 0 (nothing accumulated), 1 ("post": the gradient at the
+ * updated iterate) or 2 ("reuse": the step gradient); acc_x and acc_g
+ * receive the sums. eta holds one stepsize per lane. */
 #define EPOCH_LOOP(NAME, T, COEF, ATTR)                                        \
-    ATTR void NAME(const double *F, const double *L, const int64_t *order,     \
-                   int64_t m, int64_t d, int64_t blocks, double *x_,           \
-                   const double *x_ref_, const double *g_mean_, int logistic,  \
-                   double lam2, const double *eta_, int accum, double *acc_x_, \
-                   double *acc_g_)                                             \
+    static ATTR void NAME(const double *F, const double *L,                    \
+                          const int64_t *order, int64_t m, int64_t d,          \
+                          double *x_, const double *x_ref_,                    \
+                          const double *g_mean_, int logistic, double lam2,    \
+                          const double *eta_, int accum, double *acc_x_,       \
+                          double *acc_g_)                                      \
     {                                                                          \
         if (m == 0)                                                            \
             return;                                                            \
         int anchored = x_ref_ != NULL;                                         \
-        for (int64_t blk = 0; blk < blocks; blk++) {                           \
-            T *x = (T *)x_ + blk * d;                                          \
-            const T *x_ref = anchored ? (const T *)x_ref_ + blk * d : NULL;    \
-            const T *g_mean = anchored ? (const T *)g_mean_ + blk * d : NULL;  \
-            T *acc_x = (T *)acc_x_ + blk * d, *acc_g = (T *)acc_g_ + blk * d;  \
-            T eta = ((const T *)eta_)[blk];                                    \
-            const double *a = F + order[0] * d;                                \
-            T margin = {0}, margin_ref = {0};                                  \
+        T *x = (T *)x_, *acc_x = (T *)acc_x_, *acc_g = (T *)acc_g_;            \
+        const T *x_ref = (const T *)x_ref_, *g_mean = (const T *)g_mean_;      \
+        T eta = *(const T *)eta_;                                              \
+        const double *a = F + order[0] * d;                                    \
+        T margin = {0}, margin_ref = {0};                                      \
+        for (int64_t j = 0; j < d; j++) {                                      \
+            margin += a[j] * x[j];                                             \
+            if (anchored)                                                      \
+                margin_ref += a[j] * x_ref[j];                                 \
+        }                                                                      \
+        for (int64_t k = 0; k < m; k++) {                                      \
+            /* The last step looks ahead at its own row; those sums go         \
+             * unused. */                                                      \
+            const double *a_next = F + order[k + 1 < m ? k + 1 : k] * d;       \
+            double b = L[order[k]];                                            \
+            T c = COEF(logistic, margin, b), c_ref = {0};                      \
+            if (anchored)                                                      \
+                c_ref = COEF(logistic, margin_ref, b);                         \
+            T s_post = {0}, s_next = {0}, s_ref = {0};                         \
             for (int64_t j = 0; j < d; j++) {                                  \
-                margin += a[j] * x[j];                                         \
-                if (anchored)                                                  \
-                    margin_ref += a[j] * x_ref[j];                             \
-            }                                                                  \
-            for (int64_t k = 0; k < m; k++) {                                  \
-                /* The last step looks ahead at its own row; those sums go     \
-                 * unused. */                                                  \
-                const double *a_next = F + order[k + 1 < m ? k + 1 : k] * d;   \
-                double b = L[order[k]];                                        \
-                T c = COEF(logistic, margin, b), c_ref = {0};                  \
-                if (anchored)                                                  \
-                    c_ref = COEF(logistic, margin_ref, b);                     \
-                T s_post = {0}, s_next = {0}, s_ref = {0};                     \
-                for (int64_t j = 0; j < d; j++) {                              \
-                    T g = c * a[j] + lam2 * x[j], xj;                          \
-                    if (!anchored) {                                           \
-                        xj = x[j] - eta * g;                                   \
-                    } else {                                                   \
-                        T h = c_ref * a[j] + lam2 * x_ref[j];                  \
-                        xj = x[j] - eta * ((g - h) + g_mean[j]);               \
-                        s_ref += a_next[j] * x_ref[j];                         \
-                    }                                                          \
-                    x[j] = xj;                                                 \
-                    s_next += a_next[j] * xj;                                  \
-                    if (accum) {                                               \
-                        acc_x[j] += xj;                                        \
-                        if (accum == 1)                                        \
-                            s_post += a[j] * xj;                               \
-                        else                                                   \
-                            acc_g[j] += g;                                     \
-                    }                                                          \
+                T g = c * a[j] + lam2 * x[j], xj;                              \
+                if (!anchored) {                                               \
+                    xj = x[j] - eta * g;                                       \
+                } else {                                                       \
+                    T h = c_ref * a[j] + lam2 * x_ref[j];                      \
+                    xj = x[j] - eta * ((g - h) + g_mean[j]);                   \
+                    s_ref += a_next[j] * x_ref[j];                             \
                 }                                                              \
-                if (accum == 1) {                                              \
-                    T c_post = COEF(logistic, s_post, b);                      \
-                    for (int64_t j = 0; j < d; j++)                            \
-                        acc_g[j] += c_post * a[j] + lam2 * x[j];               \
+                x[j] = xj;                                                     \
+                s_next += a_next[j] * xj;                                      \
+                if (accum) {                                                   \
+                    acc_x[j] += xj;                                            \
+                    if (accum == 1)                                            \
+                        s_post += a[j] * xj;                                   \
+                    else                                                       \
+                        acc_g[j] += g;                                         \
                 }                                                              \
-                a = a_next;                                                    \
-                margin = s_next;                                               \
-                margin_ref = s_ref;                                            \
             }                                                                  \
+            if (accum == 1) {                                                  \
+                T c_post = COEF(logistic, s_post, b);                          \
+                for (int64_t j = 0; j < d; j++)                                \
+                    acc_g[j] += c_post * a[j] + lam2 * x[j];                   \
+            }                                                                  \
+            a = a_next;                                                        \
+            margin = s_next;                                                   \
+            margin_ref = s_ref;                                                \
         }                                                                      \
     }
 
-EPOCH_LOOP(epoch, double, grad_coef, )
+EPOCH_LOOP(epoch_one, double, grad_coef, )
 
 LANE_COEF(coef_lanes2, lanes2, 2, )
 EPOCH_LOOP(epoch_lanes2, lanes2, coef_lanes2, )
@@ -177,15 +171,75 @@ LANE_COEF(coef_lanes4, lanes4, 4, AVX2)
 EPOCH_LOOP(epoch_lanes4, lanes4, coef_lanes4, AVX2)
 #endif
 
-/* The widest lane path this CPU runs. */
-int lane_width(void)
+/* The lane path of `epoch` and its width: set by the loader before any
+ * call can run and only read after that, so concurrent calls share no
+ * writable state. */
+static int width = 2;
+static __typeof__(epoch_lanes2) *lane_loop = epoch_lanes2;
+
+__attribute__((constructor)) static void pick_lanes(void)
 {
 #ifdef HAVE_LANES4
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2"))
-        return 4;
+    if (__builtin_cpu_supports("avx2")) {
+        width = 4;
+        lane_loop = epoch_lanes4;
+    }
 #endif
-    return 2;
+}
+
+/* The widest lane width this CPU runs. */
+int lane_width(void)
+{
+    return width;
+}
+
+/* optim._epoch for K runs over one order: x (K, d) is updated in place,
+ * x_ref and g_mean are (K, d) or both NULL, eta holds K stepsizes, and
+ * acc_x and acc_g (K, d) start at zero and receive the sums. work holds
+ * (5 * d + 1) * lane_width() doubles: one block's x, x_ref, g_mean, acc_x
+ * and acc_g as (d, W) lanes, then its W stepsizes. */
+void epoch(const double *F, const double *L, const int64_t *order, int64_t m,
+           int64_t d, int64_t K, double *x, const double *x_ref,
+           const double *g_mean, int logistic, double lam2, const double *eta,
+           int accum, double *acc_x, double *acc_g, double *work)
+{
+    const int64_t W = width;
+    double *lx = work, *lref = lx + d * W, *lmean = lref + d * W;
+    double *lacc_x = lmean + d * W, *lacc_g = lacc_x + d * W;
+    double *leta = lacc_g + d * W;
+    for (int64_t k0 = 0; k0 < K; k0 += W) {
+        int64_t live = K - k0 < W ? K - k0 : W, off = k0 * d;
+        if (live == 1) {
+            epoch_one(F, L, order, m, d, x + off, x_ref ? x_ref + off : NULL,
+                      x_ref ? g_mean + off : NULL, logistic, lam2, eta + k0,
+                      accum, acc_x + off, acc_g + off);
+            continue;
+        }
+        for (int64_t l = 0; l < (5 * d + 1) * W; l++)
+            work[l] = 0.0;
+        for (int64_t w = 0; w < live; w++) {
+            leta[w] = eta[k0 + w];
+            for (int64_t j = 0; j < d; j++) {
+                int64_t i = off + w * d + j, l = j * W + w;
+                lx[l] = x[i];
+                if (x_ref) {
+                    lref[l] = x_ref[i];
+                    lmean[l] = g_mean[i];
+                }
+            }
+        }
+        lane_loop(F, L, order, m, d, lx, x_ref ? lref : NULL,
+                  x_ref ? lmean : NULL, logistic, lam2, leta, accum, lacc_x,
+                  lacc_g);
+        for (int64_t w = 0; w < live; w++)
+            for (int64_t j = 0; j < d; j++) {
+                int64_t i = off + w * d + j, l = j * W + w;
+                x[i] = lx[l];
+                acc_x[i] = lacc_x[l];
+                acc_g[i] = lacc_g[l];
+            }
+    }
 }
 
 /* optim.saga_step for i = order[0], ..., order[m-1]: table is (n, d) and
@@ -196,7 +250,7 @@ void saga_epoch(const double *F, const double *L, int64_t n, const int64_t *orde
 {
     if (m == 0)
         return;
-    double margin = seq_dot(F + order[0] * d, x, d);
+    double margin = dot(F + order[0] * d, x, d);
     for (int64_t k = 0; k < m; k++) {
         int64_t i = order[k];
         const double *a = F + i * d, *a_next = F + order[k + 1 < m ? k + 1 : k] * d;

@@ -1,10 +1,10 @@
 """The compiled per-sample loops behind every optimizer.
 
-`_kernel.c` holds `dot`, the margin of every per-sample gradient; the
-loop of `optim._epoch` (SGD, SVRG and vrlite) in three lane widths:
-`epoch` steps one run at a time, `epoch_lanes2` and `epoch_lanes4` step
-two or four runs at once over one sample order; and `saga_epoch`, the
-loop of `optim.saga_epoch`. On first import the source
+`_kernel.c` holds `dot`, the margin of every per-sample gradient;
+`epoch`, the loop of `optim._epoch` (SGD, SVRG and vrlite) for any
+number of runs over one sample order, which C steps in SIMD lanes of the
+width `lane_width()` it picked for this CPU; and `saga_epoch`, the loop
+of `optim.saga_epoch`. On first import the source
 is compiled with gcc into this package's `__pycache__/`, under a name
 keyed by a CRC-32 of the source, the flags and the compiler (its resolved
 path, size and modification time, which change with its version). The
@@ -21,9 +21,9 @@ RuntimeWarning says so, and the callers run their Python loops instead.
 Those take their margins from the Python `dot` below, which sums in the
 same order as the C loop, so both paths give the same bits.
 
-Every pointer handed to C comes from `vector`, `matrix`, `rows` or
-`indices`, which check length, shape, dtype, alignment, contiguity and
-index range first.
+Every pointer handed to C comes from `matrix`, `rows` or `indices`,
+which check length, shape, dtype, alignment, contiguity and index range
+first.
 """
 
 from __future__ import annotations
@@ -47,11 +47,10 @@ _ACCUM_CODES = {None: 0, "post": 1, "reuse": 2}
 
 _SEAL_BYTES = 4
 _P, _I64, _F64, _INT = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
-_EPOCH_SIGNATURE = (None, [_P, _P, _P, _I64, _I64, _I64, _P, _P, _P, _INT, _F64,
-                           _P, _INT, _P, _P])
-_EPOCH_PATHS = {1: "epoch", 2: "epoch_lanes2", 4: "epoch_lanes4"}
 _SIGNATURES = {
     "dot": (_F64, [_P, _P, _I64]),
+    "epoch": (None, [_P, _P, _P, _I64, _I64, _I64, _P, _P, _P, _INT, _F64, _P,
+                     _INT, _P, _P, _P]),
     "lane_width": (_INT, []),
     "saga_epoch": (None, [_P, _P, _I64, _P, _I64, _I64, _P, _P, _P, _INT, _F64,
                           _F64]),
@@ -134,19 +133,10 @@ def _load() -> ctypes.CDLL:
 
 
 def _bind(dll: ctypes.CDLL) -> ctypes.CDLL:
-    """Set the C signatures on dll, and give it `paths` (width -> epoch
-    function, for every lane path the library holds and this CPU runs)
-    and `width`, the widest of them."""
+    """Set the C signatures on dll."""
     for name, (restype, argtypes) in _SIGNATURES.items():
         fn = getattr(dll, name)
         fn.restype, fn.argtypes = restype, argtypes
-    dll.paths, cpu_width = {}, dll.lane_width()
-    for width, name in _EPOCH_PATHS.items():
-        fn = getattr(dll, name, None)
-        if fn is not None and width <= cpu_width:
-            fn.restype, fn.argtypes = _EPOCH_SIGNATURE
-            dll.paths[width] = fn
-    dll.width = max(dll.paths)
     return dll
 
 
@@ -158,16 +148,10 @@ except OSError as exc:
                   "run instead, with the same results, more slowly", RuntimeWarning)
 
 
-def vector(v, d: int, what: str, writable: bool = False) -> np.ndarray:
-    """v as an aligned C-contiguous float64 array of shape (d,). It is v
-    itself when v already is one; otherwise a copy, which the caller
-    writes back if C updated it."""
-    return matrix(v, (d,), what, writable)
-
-
 def matrix(a, shape: tuple, what: str, writable: bool = False) -> np.ndarray:
-    """a as an aligned C-contiguous float64 array of the given shape, as
-    in `vector`."""
+    """a as an aligned C-contiguous float64 array of the given shape. It
+    is a itself when a already is one; otherwise a copy, which the caller
+    writes back if C updated it."""
     a = np.asarray(a)
     if a.shape != shape:
         raise ValueError(f"dimension mismatch: {what} has shape {a.shape}, "
@@ -184,7 +168,7 @@ def rows(ds) -> tuple[np.ndarray, np.ndarray]:
     F = np.asarray(ds.features)
     if F.ndim != 2:
         raise ValueError(f"features have shape {F.shape}, expected (n, d)")
-    return matrix(F, F.shape, "features"), vector(ds.labels, F.shape[0], "labels")
+    return matrix(F, F.shape, "features"), matrix(ds.labels, F.shape[:1], "labels")
 
 
 def indices(order, n: int) -> np.ndarray:
@@ -209,8 +193,8 @@ def dot(a, x) -> float:
     a = np.asarray(a)
     if a.ndim != 1:
         raise ValueError(f"dot takes 1-d vectors, got shape {a.shape}")
-    a = vector(a, a.shape[0], "a")
-    x = vector(x, a.shape[0], "x")
+    a = matrix(a, a.shape, "a")
+    x = matrix(x, a.shape, "x")
     if lib is None:
         s = 0.0
         for u, v in zip(a.tolist(), x.tolist()):
@@ -220,58 +204,27 @@ def dot(a, x) -> float:
 
 
 def epoch(F, L, order, x, anchor, accum_grad, logistic: bool, lam2: float,
-          eta, width: int | None = None):
+          eta):
     """The C loop of optim._epoch on checked arguments, for K runs that
-    take the same order: x is (K, d), eta K stepsizes or one for all,
-    and anchor None or (x_ref, g_mean), both (K, d). Returns (x, acc_x, acc_g), each a new
-    (K, d) array: the last iterates and the sums of the iterates and of
-    the accumulated gradients over the steps.
-
-    By default one run goes through the one-run loop and K >= 2 runs
-    through the widest lane path of this CPU, except that a last block
-    that would hold one live lane runs the one-run loop instead. width
-    forces a path of `lib.paths` for every block."""
+    take the same order: x is (K, d), eta K stepsizes or one for all, and
+    anchor None or (x_ref, g_mean), both (K, d). Returns (x, acc_x,
+    acc_g), each a new (K, d) array: the last iterates and the sums of
+    the iterates and of the accumulated gradients over the steps."""
     K, d = x.shape
-    if width is None:
-        width = 1 if K == 1 else lib.width
-        if K % width == 1:
-            # A block with one live lane costs more than the one-run loop.
-            eta = np.broadcast_to(eta, (K,))
-            parts = [epoch(F, L, order, x[s], None if anchor is None else
-                           [v[s] for v in anchor], accum_grad, logistic, lam2,
-                           eta[s]) for s in (slice(-1), slice(-1, None))]
-            return tuple(np.concatenate(p) for p in zip(*parts))
-    blocks = -(-K // width)
-    if width == 1:  # (K, d) is already the layout of one run per block
-        x = x.copy()
-
-        def runs(v):
-            return v
-    else:
-        def lanes(v):
-            """(K, d) -> (blocks, d, width), the last block padded with 0."""
-            out = np.zeros((blocks * width, d))
-            out[:K] = v
-            return out.reshape(blocks, width, d).transpose(0, 2, 1).copy()
-
-        def runs(v):
-            return v.transpose(0, 2, 1).reshape(-1, d)[:K]
-
-        x = lanes(x)
-        if anchor is not None:
-            anchor = [lanes(v) for v in anchor]
+    # One buffer, one pointer: x, acc_x, acc_g, K stepsizes, then the
+    # scratch that the C `epoch` lays its lanes out in.
+    buf = np.zeros(3 * K * d + K + (5 * d + 1) * lib.lane_width())
+    runs = buf[:3 * K * d].reshape(3, K, d)
+    runs[0] = x
+    buf[3 * K * d:][:K] = eta
     x_ref, g_mean = (None, None) if anchor is None else (
         anchor[0].ctypes.data, anchor[1].ctypes.data)
-    # One buffer, one pointer: acc_x, acc_g, then a stepsize per lane.
-    buf = np.zeros(2 * x.size + blocks * width)
-    buf[2 * x.size:][:K] = eta
-    p = buf.ctypes.data
-    lib.paths[width](F.ctypes.data, L.ctypes.data, order.ctypes.data,
-                     order.shape[0], d, blocks, x.ctypes.data, x_ref, g_mean,
-                     int(logistic), lam2, p + 2 * x.nbytes,
-                     _ACCUM_CODES[accum_grad], p, p + x.nbytes)
-    acc_x, acc_g = buf[:2 * x.size].reshape((2,) + x.shape)
-    return runs(x), runs(acc_x), runs(acc_g)
+    p, step = buf.ctypes.data, runs[0].nbytes
+    lib.epoch(F.ctypes.data, L.ctypes.data, order.ctypes.data, order.shape[0],
+              d, K, p, x_ref, g_mean, int(logistic), lam2, p + 3 * step,
+              _ACCUM_CODES[accum_grad], p + step, p + 2 * step,
+              p + 3 * step + K * buf.itemsize)
+    return tuple(runs)
 
 
 def saga_epoch(F, L, order, x, table, mean, logistic: bool, lam2: float,

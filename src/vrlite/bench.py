@@ -153,17 +153,16 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[Dataset, LossModel]:
 def _toy(name: str, seed: int) -> Dataset:
     """The toy dataset of this name and seed, built once per process for
     the last two keys asked for. The generators are pure functions of
-    the seed, so a rebuild would give the same bits; the arrays are made
-    read-only so that no caller can change the copy others share."""
+    the seed, so a rebuild would give the same bits; the arrays lie over
+    immutable bytes, so that no caller can change the copy others share."""
     if name == "toy-class":
         ds = gen_gaussian_classification(
             SyntheticSpec(n=TOY_N, d=TOY_D, task="classification", seed=seed))
     else:
         ds, _ = gen_linear_regression(
             SyntheticSpec(n=TOY_N, d=TOY_D, task="regression", seed=seed))
-    ds.features.flags.writeable = False
-    ds.labels.flags.writeable = False
-    return ds
+    return Dataset(*(np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
+                     for a in (ds.features, ds.labels)), ds.task)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

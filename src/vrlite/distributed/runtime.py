@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..model import Dataset, LossModel
-from ..optim import EpochAverages, _epoch, permutation
+from ..optim import EpochAverages, _permuted_epoch
 from .protocol import MessageTag, ProtocolMessage
 
 
@@ -117,9 +117,9 @@ def _local_epoch(w: WorkerState, shard: Shard, model: LossModel, eta: float,
     if w.worker_id != shard.worker_id:
         raise ProtocolError(f"worker {w.worker_id} given shard of "
                             f"worker {shard.worker_id}")
-    order = permutation(len(shard.dataset), rng)
-    return _epoch(model, shard.dataset, w.x, order, eta,
-                  (w.averages.x_bar, w.averages.g_bar), accum_grad)
+    st = _permuted_epoch(model, shard.dataset, w.x, eta, rng, accum_grad,
+                         (w.averages.x_bar, w.averages.g_bar), w.epoch)
+    return st.x, st.averages
 
 
 def worker_sync_epoch(w: WorkerState, shard: Shard, model: LossModel, eta: float,

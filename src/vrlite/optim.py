@@ -276,9 +276,9 @@ def saga_epoch(x: np.ndarray, model: LossModel, ds: Dataset, st: SagaState,
     F, L = _kernel.rows(ds)
     n, d = F.shape
     order = rng.integers(0, n, size=n)
-    x = _kernel.vector(x, d, "x")
+    x = _kernel.matrix(x, (d,), "x")
     table = _kernel.matrix(st.grad_table, (n, d), "grad_table", writable=True)
-    mean = _kernel.vector(st.table_mean, d, "table_mean", writable=True)
+    mean = _kernel.matrix(st.table_mean, (d,), "table_mean", writable=True)
     if _kernel.lib is None:
         for i in order:
             x, st = saga_step(x, int(i), model, ds, st, eta)

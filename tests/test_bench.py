@@ -120,7 +120,12 @@ def test_toy_dataset_is_built_once_and_read_only(name):
             arr[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         ds.features[:, 0] *= 2.0
+    for arr in (ds.features, ds.labels):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            arr.flags.writeable = True
+        assert not arr.flags.writeable
     _assert_same_toy(ds, _fresh_toy(name, 3))
+    _assert_same_toy(load_dataset(_cfg(dataset=name, seed=3))[0], _fresh_toy(name, 3))
 
 
 def test_toy_memo_never_shares_across_names_or_seeds():

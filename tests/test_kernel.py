@@ -25,6 +25,12 @@ from vrlite.bench import ExperimentConfig, stepsize_sweep
 from vrlite.data import format_libsvm
 from vrlite.distributed import engine
 from vrlite.distributed.engine import DistributedConfig, run_distributed
+from vrlite.distributed.runtime import (
+    init_worker,
+    shard_dataset,
+    worker_async_epoch,
+    worker_sync_epoch,
+)
 from vrlite.model import Dataset, LossModel
 from vrlite.optim import (
     EpochAverages,
@@ -36,7 +42,7 @@ from vrlite.optim import (
     vrlite_epoch,
     vrlite_init,
 )
-from vrlite.seeding import optimizer_rng
+from vrlite.seeding import optimizer_rng, shard_rng
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
@@ -246,15 +252,28 @@ def test_compiled_epoch_equals_python_epoch(problem, data):
 _etas = st.one_of(st.sampled_from([0.0, 1e-4, 3.2e-3, 0.4096, 1e3]), st.floats(0, 1e3))
 
 
+@pytest.fixture(scope="session")
+def baseline_lib(tmp_path_factory):
+    """The kernel built without its AVX2 path, as a gcc for another
+    architecture builds it: two lanes wide on every CPU."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    so = tmp_path_factory.mktemp("baseline") / "baseline.so"
+    subprocess.run(["gcc", *_kernel.FLAGS, "-DVRLITE_BASELINE_ONLY", "-o", str(so),
+                    str(SRC / "vrlite" / "_kernel.c"), "-lm"], check=True)
+    return _kernel._bind(ctypes.CDLL(str(so)))
+
+
 @needs_lib
 @settings(max_examples=300, deadline=None)
 @given(_problems(), st.integers(1, 9), st.data())
-def test_every_lane_equals_its_own_run(problem, K, data):
+def test_every_lane_equals_its_own_run(baseline_lib, problem, K, data):
     """K runs over one order, each with its own start, anchor and
-    stepsize (some overflowing next to finite ones), through every lane
-    path of the build and the default dispatch: each lane equals the
-    one-run kernel and `_epoch_py` bit for bit. K up to 9 leaves partial
-    last blocks of every fill at widths 2 and 4."""
+    stepsize (some overflowing next to finite ones), through this build
+    and the build without AVX2, so both lane widths are covered on an
+    AVX2 machine: each run equals its one-run call and `_epoch_py` bit
+    for bit. K up to 9 leaves last blocks of every fill at widths 2 and 4,
+    one live run included."""
     F, L, order, x, logistic, lam2, eta = problem
     d = x.shape[0]
     starts = [np.ldexp(data.draw(_arrays(d)), data.draw(st.sampled_from([0, 1020])))
@@ -264,20 +283,62 @@ def test_every_lane_equals_its_own_run(problem, K, data):
     anchor = data.draw(st.one_of(st.none(), st.tuples(_arrays((K, d)),
                                                       _arrays((K, d)))))
     accum = data.draw(st.sampled_from([None, "post", "reuse"]))
-    want = []
-    for k in range(K):
-        one = (F, L, order, x[k:k + 1], None if anchor is None else
-               (anchor[0][k:k + 1], anchor[1][k:k + 1]), accum, logistic, lam2,
-               eta[k:k + 1])
-        ref = optim._epoch_py(*one)
-        _assert_same_bits(_kernel.epoch(*one, width=1), ref)
-        want.append(ref)
-    args = (F, L, order, x, anchor, accum, logistic, lam2, eta)
-    for width in [None, *_kernel.lib.paths]:
-        got = _kernel.epoch(*args, width=width)
+
+    def one(k):
+        return (F, L, order, x[k:k + 1], None if anchor is None else
+                (anchor[0][k:k + 1], anchor[1][k:k + 1]), accum, logistic, lam2,
+                eta[k:k + 1])
+
+    want = [optim._epoch_py(*one(k)) for k in range(K)]
+    for dll in (_kernel.lib, baseline_lib):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernel, "lib", dll)
+            for k in range(K):
+                _assert_same_bits(_kernel.epoch(*one(k)), want[k])
+            got = _kernel.epoch(F, L, order, x, anchor, accum, logistic, lam2, eta)
         assert all(g.shape == (K, d) for g in got)
         for k in range(K):
             _assert_same_bits([g[k] for g in got], [w[0] for w in want[k]])
+
+
+@needs_lib
+def test_concurrent_epoch_calls_equal_serial_calls():
+    """Socket workers call `epoch` from threads at once, without the
+    interpreter lock. Five runs make full lane blocks and a one-run tail
+    at either lane width; every threaded call equals the serial one."""
+    rng = np.random.default_rng(0)
+    n, d, K = 200, 8, 5
+    F, L = rng.uniform(-1, 1, (n, d)), rng.choice([-1.0, 1.0], n)
+    order = rng.integers(0, n, 2 * n)
+    cases = [(rng.uniform(-1, 1, (K, d)), rng.uniform(-1, 1, (2, K, d)),
+              rng.uniform(0, 0.1, K)) for _ in range(2)]
+
+    def call(case):
+        x, anchor, eta = case
+        return _kernel.epoch(F, L, order, x, anchor, "post", True, 2e-4, eta)
+
+    want = [call(case) for case in cases]
+    results = [[], []]
+
+    def work(i):
+        for _ in range(50):
+            results[i].append(call(cases[i]))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, ref in zip(results, want):
+        assert len(got) == 50
+        for out in got:
+            _assert_same_bits(out, ref)
 
 
 @needs_lib
@@ -311,33 +372,30 @@ def _cpu_has_avx2() -> bool:
 
 
 @needs_lib
-def test_lane_paths_of_this_build():
+def test_lane_paths_of_this_build(baseline_lib):
     """No -march flag: the AVX2 lanes come from a per-function target
-    and are used only where the CPU has AVX2."""
-    paths = _kernel.lib.paths
+    and are used only where the CPU has AVX2; without them two lanes
+    serve. The loops and the width stay private to the library."""
     assert not any(f.startswith("-march") for f in _kernel.FLAGS)
-    assert {1, 2} <= set(paths) <= {1, 2, 4}
-    assert _kernel.lib.width == max(paths)
-    if platform.machine() == "x86_64" and _cpu_has_avx2():
-        assert 4 in paths
+    avx2 = platform.machine() == "x86_64" and _cpu_has_avx2()
+    assert _kernel.lib.lane_width() == (4 if avx2 else 2)
+    assert baseline_lib.lane_width() == 2
+    for name in ("epoch_one", "epoch_lanes2", "epoch_lanes4", "width", "lane_loop"):
+        assert not hasattr(_kernel.lib, name)
 
 
 @needs_gcc
-def test_baseline_only_build_gives_the_same_sweeps(tmp_path, monkeypatch, tiny_ridge):
-    """A build without the AVX2 path (as on a non-x86 gcc) has the
-    one-run and two-lane paths, and its sweeps equal this build's."""
-    so = tmp_path / "baseline.so"
-    subprocess.run(["gcc", *_kernel.FLAGS, "-DVRLITE_BASELINE_ONLY", "-o", str(so),
-                    str(SRC / "vrlite" / "_kernel.c"), "-lm"], check=True)
-    dll = _kernel._bind(ctypes.CDLL(str(so)))
-    assert sorted(dll.paths) == [1, 2] and dll.width == 2
+def test_baseline_only_build_gives_the_same_sweeps(baseline_lib, tmp_path, monkeypatch,
+                                                   tiny_ridge):
+    """A build without the AVX2 path (as on a non-x86 gcc) gives the
+    same sweeps as this build."""
     data = tmp_path / "ridge.libsvm"
     data.write_text(format_libsvm(tiny_ridge[0]))
     for algo in ("sgd", "svrg", "vrlite"):
         cfg = ExperimentConfig(algo=algo, dataset=f"libsvm:{data}", epochs=20)
         want = stepsize_sweep(cfg)
         with monkeypatch.context() as mp:
-            mp.setattr(_kernel, "lib", dll)
+            mp.setattr(_kernel, "lib", baseline_lib)
             assert stepsize_sweep(cfg) == want
 
 
@@ -465,6 +523,23 @@ def test_dot_rejects_mismatched_vectors(kernel):
     assert _kernel.dot(np.arange(3.0), np.arange(3.0)) == 5.0
 
 
+@pytest.mark.parametrize("bad", [{"eta": -1.0}, {"eta": math.nan},
+                                 {"accum_grad": "bogus"}],
+                         ids=["eta-negative", "eta-nan", "accum-bogus"])
+@pytest.mark.parametrize("worker_epoch", [worker_sync_epoch, worker_async_epoch])
+def test_worker_epoch_rejects_bad_eta_and_accum_before_drawing(kernel, worker_epoch,
+                                                               bad):
+    ds, m = _small()
+    (shard,) = shard_dataset(ds, 1, shard_rng(0))
+    w = init_worker(0, np.zeros(3), np.zeros(3), np.zeros(3))
+    rng = optimizer_rng(0)
+    before = rng.bit_generator.state
+    args = {"eta": 0.1, "accum_grad": "post", **bad}
+    with pytest.raises(ValueError):
+        worker_epoch(w, shard, m, args["eta"], rng, accum_grad=args["accum_grad"])
+    assert rng.bit_generator.state == before
+
+
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_socket_worker_with_wrong_dimension_state_fails_promptly(monkeypatch, mode):
     ds, m = _small()
@@ -578,7 +653,8 @@ def test_damaged_cache_file_is_rebuilt_not_loaded(tmp_path, reference_x):
     # sits under the right name: its dot returns 42.
     fake_c = tmp_path / "fake.c"
     fake_c.write_text((SRC / "vrlite" / "_kernel.c").read_text().replace(
-        "return seq_dot(a, x, d);", "return 42.0;"))
+        "    return s;\n", "    return 42.0;\n"))
+    assert "return 42.0;" in fake_c.read_text()
     fake_so = tmp_path / "fake.so"
     subprocess.run(["gcc", *_kernel.FLAGS, "-o", str(fake_so), str(fake_c), "-lm"],
                    check=True)

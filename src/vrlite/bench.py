@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import SyntheticSpec, gen_gaussian_classification, gen_linear_regression, load_libsvm
-from .distributed.engine import DistributedConfig, run_distributed
+from .distributed.engine import MODES as DISTRIBUTED_MODES
+from .distributed.engine import TRANSPORTS, DistributedConfig, run_distributed
 from .model import DEFAULT_LAMBDA, Dataset, LossModel, _objective_and_gradient
 from .optim import (
     ACCUM_MODES,
@@ -38,8 +39,7 @@ from .optim import (
 from .seeding import optimizer_rng
 
 ALGOS = ("sgd", "svrg", "saga", "vrlite")
-MODES = ("seq", "sync", "async")
-TRANSPORTS = ("sim", "socket")
+MODES = ("seq",) + DISTRIBUTED_MODES
 
 CSV_HEADER = "algo,mode,workers,epoch,wall_ms,objective,rel_grad_norm,eta,seed"
 DEFAULT_GRID = tuple((2.0 ** k) * 1e-4 for k in range(13))
@@ -117,7 +117,6 @@ class MetricsRow:
 class ExperimentResult:
     rows: list[MetricsRow]
     diverged: bool
-    eta: float
     config: ExperimentConfig
 
 
@@ -215,7 +214,7 @@ class _Run:
 
     def result(self) -> ExperimentResult:
         return ExperimentResult(rows=self.rows, diverged=self.diverged,
-                                eta=self.cfg.eta, config=self.cfg)
+                                config=self.cfg)
 
 
 def _execute(runs: list[_Run], model: LossModel, ds: Dataset):
@@ -254,59 +253,44 @@ def _run_sequential(runs: list[_Run], model: LossModel, ds: Dataset):
     since no draw depends on eta. A run leaves when its record ends it.
     SAGA takes one run at a time (its table is n x d per run).
 
-    Each algorithm supplies the virtual cost of its set-up and a closure
-    that runs epoch k for the runs still going and returns their
-    iterates, shape (K, d), and that epoch's cost."""
+    Every epoch adds its gradient evaluations to the virtual clock, and
+    SAGA's table fill adds one pass before the first epoch."""
     cfg = runs[0].cfg
     n = len(ds)
     rng = optimizer_rng(cfg.seed)
     eta = np.array([run.cfg.eta for run in runs])
     accum = cfg.accum_grad
-    sgd_cost = n * GRAD_EVALS_PER_SGD_STEP[accum]
     state = initial_state((len(runs), ds.dimension))
     wall = 0.0
-
-    if cfg.algo == "vrlite":
-        def run_epoch(epoch):
-            nonlocal state
-            if epoch == 1:  # the bootstrap is a plain-SGD pass
-                state = vrlite_init(model, ds, eta, rng, accum)
-                return state.x, sgd_cost
-            state = vrlite_epoch(state, model, ds, eta, rng, accum)
-            return state.x, n * GRAD_EVALS_PER_VR_STEP[accum]
-    elif cfg.algo == "sgd":
-        def run_epoch(epoch):
-            nonlocal state
-            state = sgd_epoch(state, model, ds, eta, rng, accum)
-            return state.x, sgd_cost
-    elif cfg.algo == "svrg":
-        def run_epoch(epoch):
-            # snapshot pass plus 2n two-gradient steps
-            state.x = svrg_epoch(state.x, model, ds, eta, rng)
-            return state.x, n + (2 * n) * 2
-    else:
+    if cfg.algo == "saga":
         assert len(runs) == 1, "SAGA runs one at a time"
         table = saga_init(model, ds, state.x[0])
         wall += n  # filling the table costs one gradient pass
 
-        def run_epoch(epoch):
-            nonlocal table
+    for epoch in range(1, cfg.epochs + 1):
+        if cfg.algo == "svrg":
+            state.x = svrg_epoch(state.x, model, ds, eta, rng)
+            wall += n + (2 * n) * 2  # snapshot pass plus 2n two-gradient steps
+        elif cfg.algo == "saga":
             x, table = saga_epoch(state.x[0], model, ds, table, cfg.eta, rng)
             state.x = x[None]
-            return state.x, n
-
-    for epoch in range(1, cfg.epochs + 1):
-        x, cost = run_epoch(epoch)
-        wall += cost
-        going = [not run.record(epoch, wall, xk) for run, xk in zip(runs, x)]
+            wall += n
+        elif cfg.algo == "vrlite" and epoch > 1:
+            state = vrlite_epoch(state, model, ds, eta, rng, accum)
+            wall += n * GRAD_EVALS_PER_VR_STEP[accum]
+        else:  # a plain-SGD pass: SGD, or vrlite's bootstrap from zero
+            state = (vrlite_init(model, ds, eta, rng, accum) if cfg.algo == "vrlite"
+                     else sgd_epoch(state, model, ds, eta, rng, accum))
+            wall += n * GRAD_EVALS_PER_SGD_STEP[accum]
+        going = [not run.record(epoch, wall, xk) for run, xk in zip(runs, state.x)]
         if not all(going):
             runs = [run for run, g in zip(runs, going) if g]
             if not runs:
                 return
             eta = eta[going]
             avg = state.averages
-            state = OptState(state.x[going], EpochAverages(
-                avg.x_bar[going], avg.g_bar[going], avg.steps), state.epoch_index)
+            state = OptState(state.x[going],
+                             EpochAverages(avg.x_bar[going], avg.g_bar[going]))
 
 
 def epochs_to_target(rows: list[MetricsRow], target: float) -> int | None:

@@ -8,6 +8,7 @@ the contract and documented per generator.
 from __future__ import annotations
 
 import io
+import math
 import os
 from dataclasses import dataclass
 
@@ -93,8 +94,9 @@ def parse_libsvm(source, expected_d: int | None = None) -> Dataset:
     line, indices 1-based and strictly ascending. Accepts str or bytes
     content, or a file-like object. Features are densified; the
     dimension is expected_d when given, otherwise the largest index
-    seen. Blank lines are skipped. Malformed input raises ValueError
-    naming the offending line number."""
+    seen. Blank lines are skipped. Malformed input, a NaN or infinite
+    label or value included, raises ValueError naming the offending
+    line number."""
     if hasattr(source, "read"):
         text = source.read()
     else:
@@ -114,6 +116,8 @@ def parse_libsvm(source, expected_d: int | None = None) -> Dataset:
             label = float(tokens[0])
         except ValueError:
             raise ValueError(f"line {lineno}: bad label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise ValueError(f"line {lineno}: label {tokens[0]!r} is not finite")
         entries: dict[int, float] = {}
         prev = 0
         for tok in tokens[1:]:
@@ -125,6 +129,8 @@ def parse_libsvm(source, expected_d: int | None = None) -> Dataset:
                 val = float(val_s)
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed pair {tok!r}") from None
+            if not math.isfinite(val):
+                raise ValueError(f"line {lineno}: value in {tok!r} is not finite")
             if idx < 1:
                 raise ValueError(f"line {lineno}: index {idx} is not 1-based")
             if idx <= prev:

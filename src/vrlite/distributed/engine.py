@@ -90,8 +90,9 @@ class DistributedConfig:
     eta: float
     seed: int
     transport: str = "sim"
-    latency: float = 0.0      # virtual ms added to every simulated message
-    step_cost: float = 1.0    # virtual ms per per-sample gradient evaluation
+    # The simulated clock: one gradient evaluation costs 1 ms divided by
+    # the worker's speed, and every message hop adds latency ms.
+    latency: float = 0.0
     speed: tuple[float, ...] | None = None  # per-worker speed multipliers (sim)
     accum_grad: str = "post"
 
@@ -129,8 +130,8 @@ def _validate(cfg: DistributedConfig, n: int):
         raise ValueError(f"cannot run {cfg.workers} workers on {n} samples")
     if cfg.epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if not all(v >= 0 and math.isfinite(v) for v in (cfg.latency, cfg.step_cost)):
-        raise ValueError("latency and step_cost must be finite and >= 0")
+    if not (cfg.latency >= 0 and math.isfinite(cfg.latency)):
+        raise ValueError("latency must be finite and >= 0")
     if cfg.speed is not None:
         if len(cfg.speed) != cfg.workers:
             raise ValueError("speed must list one multiplier per worker")
@@ -230,12 +231,11 @@ class _Sim:
         speed = tuple(cfg.speed) if cfg.speed is not None else (1.0,) * p
         vr_evals = GRAD_EVALS_PER_VR_STEP[cfg.accum_grad]
         sgd_evals = GRAD_EVALS_PER_SGD_STEP[cfg.accum_grad]
-        self.cost = [len(shards[s].dataset) * vr_evals * cfg.step_cost / speed[s]
+        self.cost = [len(shards[s].dataset) * vr_evals / speed[s]
                      for s in range(p)]
         self.latency = cfg.latency
         # The bootstrap epoch on worker 0, then its broadcast hop.
-        self.now = (len(shards[0].dataset) * sgd_evals * cfg.step_cost
-                    / speed[0] + cfg.latency)
+        self.now = len(shards[0].dataset) * sgd_evals / speed[0] + cfg.latency
         self.srng = scheduler_rng(cfg.seed)
         self.loops = loops
         self.pending: list[list] = []  # [ready_time, worker, report] in flight

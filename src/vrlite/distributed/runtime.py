@@ -6,7 +6,8 @@ them (in worker-id order, so arrival order never matters), and
 broadcasts the result. In the asynchronous protocol each worker sends
 the change in (x, x_bar, g_bar) since its previous report; the central
 node folds each delta in scaled by alpha = 1/p, one message at a time,
-and replies with its current values to that worker only. Because every
+and replies with its current values to that worker only; p is the
+length of the central state's per-worker report counts. Because every
 worker's baseline starts at zero and the central accumulators also
 start at zero, the central vectors always equal 1/p times the sum of
 each worker's most recently reported values.
@@ -69,13 +70,12 @@ class WorkerState:
 
 @dataclass
 class CentralState:
-    """Central node's view of the shared triple."""
+    """Central node's view of the shared triple. The worker count p is
+    len(reports_seen), and an async delta is folded in scaled by 1/p."""
 
     x: np.ndarray
     x_bar: np.ndarray
     g_bar: np.ndarray
-    alpha: float
-    workers: int
     reports_seen: np.ndarray  # per-worker report counts
 
 
@@ -88,7 +88,7 @@ def init_worker(worker_id: int, x: np.ndarray, x_bar: np.ndarray,
     return WorkerState(
         worker_id=worker_id,
         x=x.copy(),
-        averages=EpochAverages(x_bar.copy(), g_bar.copy(), 0),
+        averages=EpochAverages(x_bar.copy(), g_bar.copy()),
         last_reported_x=np.zeros(d),
         last_reported_x_bar=np.zeros(d),
         last_reported_g_bar=np.zeros(d),
@@ -98,16 +98,15 @@ def init_worker(worker_id: int, x: np.ndarray, x_bar: np.ndarray,
 
 def central_sync_state(x, x_bar, g_bar, p: int) -> CentralState:
     """Synchronous central state starts at the broadcast triple."""
-    return CentralState(x.copy(), x_bar.copy(), g_bar.copy(), alpha=1.0 / p,
-                        workers=p, reports_seen=np.zeros(p, dtype=np.int64))
+    return CentralState(x.copy(), x_bar.copy(), g_bar.copy(),
+                        reports_seen=np.zeros(p, dtype=np.int64))
 
 
 def central_async_state(d: int, p: int) -> CentralState:
     """Asynchronous central state starts at zero vectors, matching the
     workers' zero delta baselines: after every worker has reported, the
     central triple is exactly the mean of the latest reports."""
-    return CentralState(np.zeros(d), np.zeros(d), np.zeros(d), alpha=1.0 / p,
-                        workers=p, reports_seen=np.zeros(p, dtype=np.int64))
+    return central_sync_state(np.zeros(d), np.zeros(d), np.zeros(d), p)
 
 
 def _local_epoch(w: WorkerState, shard: Shard, model: LossModel, eta: float,
@@ -118,7 +117,7 @@ def _local_epoch(w: WorkerState, shard: Shard, model: LossModel, eta: float,
         raise ProtocolError(f"worker {w.worker_id} given shard of "
                             f"worker {shard.worker_id}")
     st = _permuted_epoch(model, shard.dataset, w.x, eta, rng, accum_grad,
-                         (w.averages.x_bar, w.averages.g_bar), w.epoch)
+                         (w.averages.x_bar, w.averages.g_bar))
     return st.x, st.averages
 
 
@@ -207,7 +206,7 @@ def central_sync_aggregate(reports: list[ProtocolMessage], p: int) -> ProtocolMe
 
 def central_async_apply(c: CentralState, msg: ProtocolMessage,
                         ) -> tuple[CentralState, ProtocolMessage]:
-    """Fold one delta into the central triple (scaled by alpha) and
+    """Fold one delta into the central triple (scaled by 1/p) and
     build the reply for the reporting worker. The state is updated in
     place and returned; callers running concurrently must serialize
     calls. Reply vectors are copies, so later applies never mutate a
@@ -219,7 +218,8 @@ def central_async_apply(c: CentralState, msg: ProtocolMessage,
     so it is rejected before any state changes."""
     if msg.tag != MessageTag.ASYNC_DELTA:
         raise ProtocolError(f"expected ASYNC_DELTA, got {msg.tag!r}")
-    if not 0 <= msg.worker_id < c.workers:
+    p = len(c.reports_seen)
+    if not 0 <= msg.worker_id < p:
         raise ProtocolError(f"worker id {msg.worker_id} out of range")
     if msg.v1.shape != c.x.shape:
         raise ProtocolError("delta dimension does not match central state")
@@ -227,9 +227,10 @@ def central_async_apply(c: CentralState, msg: ProtocolMessage,
     if msg.epoch != expected:
         raise ProtocolError(f"delta from worker {msg.worker_id} carries epoch "
                             f"{msg.epoch}, expected {expected}")
-    c.x += c.alpha * msg.v1
-    c.x_bar += c.alpha * msg.v2
-    c.g_bar += c.alpha * msg.v3
+    alpha = 1.0 / p
+    c.x += alpha * msg.v1
+    c.x_bar += alpha * msg.v2
+    c.g_bar += alpha * msg.v3
     c.reports_seen[msg.worker_id] += 1
     reply = ProtocolMessage(MessageTag.GLOBAL_STATE, msg.worker_id, msg.epoch,
                             c.x.copy(), c.x_bar.copy(), c.g_bar.copy())

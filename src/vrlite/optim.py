@@ -35,15 +35,14 @@ GRAD_EVALS_PER_SGD_STEP = {"post": 2, "reuse": 1}
 
 @dataclass
 class EpochAverages:
-    """Mean iterate and mean step gradient of one epoch, and its step count."""
+    """Mean iterate and mean step gradient of one epoch."""
 
     x_bar: np.ndarray
     g_bar: np.ndarray
-    steps: int
 
     @classmethod
     def zeros(cls, d) -> "EpochAverages":
-        return cls(np.zeros(d), np.zeros(d), 0)
+        return cls(np.zeros(d), np.zeros(d))
 
 
 @dataclass
@@ -52,7 +51,6 @@ class OptState:
 
     x: np.ndarray
     averages: EpochAverages
-    epoch_index: int
 
 
 def permutation(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -123,7 +121,7 @@ def _epoch(model, ds, x, order, eta, anchor=None, accum_grad=None):
         return x, None
     steps = len(order)
     return x, EpochAverages(acc_x.reshape(shape) / steps,
-                            acc_g.reshape(shape) / steps, steps)
+                            acc_g.reshape(shape) / steps)
 
 
 def _epoch_py(F, L, order, x, anchor, accum_grad, logistic, lam2, eta):
@@ -160,19 +158,19 @@ def _run_py(F, L, order, x, anchor, accum_grad, logistic, lam2, eta):
     return x, acc_x, acc_g
 
 
-def _permuted_epoch(model, ds, x, eta, rng, accum_grad, anchor, epoch_index):
+def _permuted_epoch(model, ds, x, eta, rng, accum_grad, anchor):
     """One without-replacement pass in a fresh permutation from rng."""
     _check_eta(eta)
     _check_accum(accum_grad)
     order = permutation(len(ds), rng)
     x, averages = _epoch(model, ds, x, order, eta, anchor, accum_grad)
-    return OptState(x=x, averages=averages, epoch_index=epoch_index)
+    return OptState(x=x, averages=averages)
 
 
 def initial_state(d) -> OptState:
-    """Zero iterate with zeroed averages, epoch counter at 0; d is the
-    dimension, or (K, d) for K runs in lock step."""
-    return OptState(x=np.zeros(d), averages=EpochAverages.zeros(d), epoch_index=0)
+    """Zero iterate with zeroed averages; d is the dimension, or (K, d)
+    for K runs in lock step."""
+    return OptState(x=np.zeros(d), averages=EpochAverages.zeros(d))
 
 
 def vrlite_init(model: LossModel, ds: Dataset, eta: float,
@@ -188,8 +186,7 @@ def vrlite_init(model: LossModel, ds: Dataset, eta: float,
     lock step, and every OptState array has shape (K, d).
     """
     x0 = np.zeros(np.shape(eta) + (ds.dimension,))
-    return _permuted_epoch(model, ds, x0, eta, rng,
-                           accum_grad, None, 1)
+    return _permuted_epoch(model, ds, x0, eta, rng, accum_grad, None)
 
 
 def vrlite_epoch(state: OptState, model: LossModel, ds: Dataset, eta: float,
@@ -197,8 +194,7 @@ def vrlite_epoch(state: OptState, model: LossModel, ds: Dataset, eta: float,
     """One vrlite epoch: a full without-replacement pass in permutation
     order, corrected by the previous epoch's averages."""
     anchor = (state.averages.x_bar, state.averages.g_bar)
-    return _permuted_epoch(model, ds, state.x, eta, rng, accum_grad, anchor,
-                           state.epoch_index + 1)
+    return _permuted_epoch(model, ds, state.x, eta, rng, accum_grad, anchor)
 
 
 def sgd_epoch(state: OptState, model: LossModel, ds: Dataset, eta: float,
@@ -206,8 +202,7 @@ def sgd_epoch(state: OptState, model: LossModel, ds: Dataset, eta: float,
     """One plain-SGD epoch in permutation order. Keeps the same epoch
     accumulators as vrlite for fair instrumentation; they do not feed
     back into the updates."""
-    return _permuted_epoch(model, ds, state.x, eta, rng, accum_grad, None,
-                           state.epoch_index + 1)
+    return _permuted_epoch(model, ds, state.x, eta, rng, accum_grad, None)
 
 
 def svrg_epoch(x: np.ndarray, model: LossModel, ds: Dataset, eta: float,

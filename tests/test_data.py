@@ -153,6 +153,11 @@ def test_parse_libsvm_error_messages_name_the_line():
         parse_libsvm("\n\n")
     with pytest.raises(ValueError, match="dimension"):
         parse_libsvm("1\n-1\n")  # labels only, no features anywhere
+    for line, what in (("nan 1:1", "label 'nan'"), ("inf 1:1", "label 'inf'"),
+                       ("-1 1:inf", "value in '1:inf'"),
+                       ("-1 2:nan", "value in '2:nan'")):
+        with pytest.raises(ValueError, match=f"^line 2: {what} is not finite$"):
+            parse_libsvm(f"1 1:0.5\n{line}\n")
 
 
 def test_format_parse_round_trip(tiny_ridge):

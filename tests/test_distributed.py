@@ -116,7 +116,6 @@ def test_sync_report_carries_local_values(small_problem):
     np.testing.assert_array_equal(msg.v1, new_w.x)
     np.testing.assert_array_equal(msg.v2, new_w.averages.x_bar)
     np.testing.assert_array_equal(msg.v3, new_w.averages.g_bar)
-    assert new_w.averages.steps == len(shard.dataset)
 
 
 def test_first_async_report_is_the_full_local_values(small_problem):
@@ -354,6 +353,5 @@ def test_sync_round_trip_over_workers(small_problem):
 
 def test_central_sync_state_tracks_broadcast():
     c = central_sync_state(np.ones(2), np.full(2, 2.0), np.full(2, 3.0), 4)
-    assert c.alpha == 0.25
-    assert c.workers == 4
+    np.testing.assert_array_equal(c.reports_seen, np.zeros(4))
     np.testing.assert_array_equal(c.x, [1.0, 1.0])

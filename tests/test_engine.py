@@ -3,6 +3,8 @@ import pytest
 
 from vrlite.data import SyntheticSpec, gen_gaussian_classification, gen_linear_regression
 from vrlite.distributed.engine import DistributedConfig, run_distributed
+from vrlite.distributed.protocol import MessageTag, ProtocolMessage
+from vrlite.distributed.runtime import central_async_apply, central_async_state
 from vrlite.model import LossModel
 from vrlite.optim import vrlite_epoch, vrlite_init
 from vrlite.seeding import optimizer_rng
@@ -141,13 +143,6 @@ def test_speed_multiplier_scales_compute(prob):
     assert [s.clock_ms for s in faster.snapshots] == [24.0, 60.0]
 
 
-def test_step_cost_scales_everything(prob):
-    ds, m = prob
-    res = run_distributed(m, ds, _cfg(mode="sync", workers=1, epochs=2,
-                                      step_cost=0.5))
-    assert [s.clock_ms for s in res.snapshots] == [48.0, 120.0]
-
-
 def test_stop_when_ends_sim_runs_early(prob):
     ds, m = prob
     calls = []
@@ -234,7 +229,7 @@ def test_config_validation(prob):
         run_distributed(m, ds, _cfg(workers=1, speed=(0.0,)))
     # Non-finite settings would poison the virtual clock.
     for bad in (float("nan"), float("inf")):
-        for kw in (dict(latency=bad), dict(step_cost=bad),
+        for kw in (dict(latency=bad),
                    dict(mode="async", workers=2, speed=(bad, 1.0))):
             with pytest.raises(ValueError, match="finite"):
                 run_distributed(m, ds, _cfg(**kw))
@@ -257,4 +252,10 @@ def test_epoch_budget_of_one_is_bootstrap_only(prob):
 def test_async_alpha_is_one_over_workers(prob):
     ds, m = prob
     res = run_distributed(m, ds, _cfg(mode="async", workers=4, epochs=2))
-    assert res.central.alpha == 0.25
+    assert len(res.central.reports_seen) == 4
+    # One delta on a fresh 4-worker central state lands scaled by 1/4.
+    v = np.random.default_rng(0).standard_normal(ds.dimension)
+    c, _ = central_async_apply(central_async_state(ds.dimension, 4),
+                               ProtocolMessage(MessageTag.ASYNC_DELTA, 1, 2, v, v, v))
+    for got in (c.x, c.x_bar, c.g_bar):
+        assert got.tobytes() == (0.25 * v).tobytes()

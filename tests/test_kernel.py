@@ -85,7 +85,7 @@ def _vrlite_run(ds, m, eta, accum, epochs=3, seed=3):
 
 def _sgd_run(ds, m, eta, accum, epochs=3, seed=3):
     rng = optimizer_rng(seed)
-    st = OptState(np.full(ds.dimension, 0.1), EpochAverages.zeros(ds.dimension), 0)
+    st = OptState(np.full(ds.dimension, 0.1), EpochAverages.zeros(ds.dimension))
     out = []
     for _ in range(epochs):
         st = sgd_epoch(st, m, ds, eta, rng, accum_grad=accum)
@@ -431,7 +431,7 @@ def test_epoch_rejects_wrong_lengths_and_leaves_inputs_alone(kernel):
             optim._epoch(m, ds, x, order, 0.1, (bad, gb), "post")
         with pytest.raises(ValueError, match="dimension mismatch"):
             optim._epoch(m, ds, x, order, 0.1, (xb, bad), "post")
-    state = OptState(np.ones(4), EpochAverages.zeros(3), 1)
+    state = OptState(np.ones(4), EpochAverages.zeros(3))
     with pytest.raises(ValueError):
         vrlite_epoch(state, m, ds, 0.1, optimizer_rng(0))
     with pytest.raises(ValueError):
@@ -548,7 +548,7 @@ def test_socket_worker_with_wrong_dimension_state_fails_promptly(monkeypatch, mo
     def shrinking(w, msg):
         w = real(w, msg)
         if w.worker_id == 1:
-            w.averages = EpochAverages(w.averages.x_bar[:-1], w.averages.g_bar, 0)
+            w.averages = EpochAverages(w.averages.x_bar[:-1], w.averages.g_bar)
         return w
 
     monkeypatch.setattr(engine, "adopt_global_state", shrinking)

@@ -90,18 +90,9 @@ def test_sgd_single_sample_hand_values():
 
 def test_initial_state_is_all_zero():
     st = initial_state(3)
-    assert st.epoch_index == 0
     np.testing.assert_array_equal(st.x, np.zeros(3))
     np.testing.assert_array_equal(st.averages.x_bar, np.zeros(3))
     np.testing.assert_array_equal(st.averages.g_bar, np.zeros(3))
-    assert st.averages.steps == 0
-
-
-def test_vrlite_init_counts_one_epoch(tiny_ridge):
-    ds, m, _ = tiny_ridge
-    st = vrlite_init(m, ds, 0.01, optimizer_rng(0))
-    assert st.epoch_index == 1
-    assert st.averages.steps == len(ds)
 
 
 def test_vrlite_init_eta_zero_recovers_full_gradient(tiny_class):
@@ -204,8 +195,7 @@ def test_sgd_epoch_replays_from_public_api(tiny_class, accum):
     x0 = init_rng.standard_normal(d)
     start = OptState(x=x0.copy(),
                      averages=EpochAverages(init_rng.standard_normal(d),
-                                            init_rng.standard_normal(d), 3),
-                     epoch_index=4)
+                                            init_rng.standard_normal(d)))
     st = sgd_epoch(start, m, ds, eta, optimizer_rng(seed), accum_grad=accum)
 
     replay_rng = optimizer_rng(seed)
@@ -221,8 +211,6 @@ def test_sgd_epoch_replays_from_public_api(tiny_class, accum):
     np.testing.assert_array_equal(st.x, x)
     np.testing.assert_array_equal(st.averages.x_bar, acc_x / len(ds))
     np.testing.assert_array_equal(st.averages.g_bar, acc_g / len(ds))
-    assert st.averages.steps == len(ds)
-    assert st.epoch_index == 5
     np.testing.assert_array_equal(start.x, x0)
 
 

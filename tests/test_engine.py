@@ -143,6 +143,21 @@ def test_speed_multiplier_scales_compute(prob):
     assert [s.clock_ms for s in faster.snapshots] == [24.0, 60.0]
 
 
+def test_uniform_speed_and_latency_scale_only_the_clock(prob):
+    # Latency is counted in gradient evaluations: doubling every worker's
+    # speed and halving the latency halves each clock reading and leaves
+    # the schedule, and so every iterate, unchanged.
+    ds, m = prob
+    base = run_distributed(m, ds, _cfg(mode="async", workers=3, epochs=4,
+                                       latency=5.0))
+    fast = run_distributed(m, ds, _cfg(mode="async", workers=3, epochs=4,
+                                       latency=2.5, speed=(2.0, 2.0, 2.0)))
+    assert [s.clock_ms for s in fast.snapshots] == [
+        s.clock_ms / 2 for s in base.snapshots]
+    assert [s.x.tobytes() for s in fast.snapshots] == [
+        s.x.tobytes() for s in base.snapshots]
+
+
 def test_stop_when_ends_sim_runs_early(prob):
     ds, m = prob
     calls = []

@@ -95,6 +95,21 @@ def test_initial_state_is_all_zero():
     np.testing.assert_array_equal(st.averages.g_bar, np.zeros(3))
 
 
+def test_vrlite_init_counts_one_epoch(tiny_ridge):
+    # The bootstrap is one plain-SGD pass from the origin: one permutation
+    # draw, len(ds) steps, and the same state as sgd_epoch from zero.
+    ds, m, _ = tiny_ridge
+    rng = optimizer_rng(0)
+    st = vrlite_init(m, ds, 0.01, rng)
+    one_draw = optimizer_rng(0)
+    permutation(len(ds), one_draw)
+    assert rng.bit_generator.state == one_draw.bit_generator.state
+    ref = sgd_epoch(initial_state(ds.dimension), m, ds, 0.01, optimizer_rng(0))
+    for got, want in ((st.x, ref.x), (st.averages.x_bar, ref.averages.x_bar),
+                      (st.averages.g_bar, ref.averages.g_bar)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_vrlite_init_eta_zero_recovers_full_gradient(tiny_class):
     # With eta=0 every iterate stays at the origin, so the accumulated
     # step gradients average to the exact full gradient there.

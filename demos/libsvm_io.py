@@ -5,7 +5,8 @@ format (1-based, strictly ascending indices), densifies the features,
 and maps labels onto the library's conventions: {-1,+1} pass through,
 {0,1} are remapped to {-1,+1}, anything else is treated as regression
 targets. format_libsvm is the exact inverse when the dimension is
-pinned.
+pinned, except for a regression set whose labels all lie in {0,1} or
+{-1,+1}: it comes back as classification, with labels of 0 as -1.
 
 Run as: python3 demos/libsvm_io.py
 """

@@ -24,10 +24,9 @@ from .distributed.engine import TRANSPORTS, DistributedConfig, run_distributed
 from .model import DEFAULT_LAMBDA, Dataset, LossModel, _objective_and_gradient
 from .optim import (
     ACCUM_MODES,
-    GRAD_EVALS_PER_SGD_STEP,
-    GRAD_EVALS_PER_VR_STEP,
     EpochAverages,
     OptState,
+    epoch_grad_evals,
     initial_state,
     saga_epoch,
     saga_init,
@@ -253,10 +252,9 @@ def _run_sequential(runs: list[_Run], model: LossModel, ds: Dataset):
     since no draw depends on eta. A run leaves when its record ends it.
     SAGA takes one run at a time (its table is n x d per run).
 
-    Every epoch adds its gradient evaluations to the virtual clock, and
-    SAGA's table fill adds one pass before the first epoch."""
+    Every epoch adds its gradient evaluations (`epoch_grad_evals`) to
+    the virtual clock."""
     cfg = runs[0].cfg
-    n = len(ds)
     rng = optimizer_rng(cfg.seed)
     eta = np.array([run.cfg.eta for run in runs])
     accum = cfg.accum_grad
@@ -265,23 +263,19 @@ def _run_sequential(runs: list[_Run], model: LossModel, ds: Dataset):
     if cfg.algo == "saga":
         assert len(runs) == 1, "SAGA runs one at a time"
         table = saga_init(model, ds, state.x[0])
-        wall += n  # filling the table costs one gradient pass
 
     for epoch in range(1, cfg.epochs + 1):
         if cfg.algo == "svrg":
             state.x = svrg_epoch(state.x, model, ds, eta, rng)
-            wall += n + (2 * n) * 2  # snapshot pass plus 2n two-gradient steps
         elif cfg.algo == "saga":
             x, table = saga_epoch(state.x[0], model, ds, table, cfg.eta, rng)
             state.x = x[None]
-            wall += n
         elif cfg.algo == "vrlite" and epoch > 1:
             state = vrlite_epoch(state, model, ds, eta, rng, accum)
-            wall += n * GRAD_EVALS_PER_VR_STEP[accum]
         else:  # a plain-SGD pass: SGD, or vrlite's bootstrap from zero
             state = (vrlite_init(model, ds, eta, rng, accum) if cfg.algo == "vrlite"
                      else sgd_epoch(state, model, ds, eta, rng, accum))
-            wall += n * GRAD_EVALS_PER_SGD_STEP[accum]
+        wall += epoch_grad_evals(cfg.algo, len(ds), accum, epoch == 1)
         going = [not run.record(epoch, wall, xk) for run, xk in zip(runs, state.x)]
         if not all(going):
             runs = [run for run, g in zip(runs, going) if g]

@@ -170,7 +170,9 @@ def load_libsvm(path: str | os.PathLike, expected_d: int | None = None) -> Datas
 def format_libsvm(ds: Dataset) -> str:
     """Render a Dataset as LIBSVM text (nonzero entries only, 1-based
     ascending indices, 17-significant-digit values). parse_libsvm with
-    expected_d=ds.dimension inverts this exactly."""
+    expected_d=ds.dimension inverts this exactly, except for a regression
+    set whose labels all lie in {0, 1} or {-1, +1}: the parser reads it
+    as classification, with labels of 0 as -1."""
     out = io.StringIO()
     for i in range(len(ds)):
         out.write(format(ds.labels[i], ".17g"))

@@ -48,11 +48,7 @@ from typing import Callable
 import numpy as np
 
 from ..model import Dataset, LossModel
-from ..optim import (
-    GRAD_EVALS_PER_SGD_STEP,
-    GRAD_EVALS_PER_VR_STEP,
-    vrlite_init,
-)
+from ..optim import epoch_grad_evals, vrlite_init
 from ..seeding import optimizer_rng, scheduler_rng, shard_rng
 from .protocol import (
     DecodeError,
@@ -229,13 +225,13 @@ class _Sim:
     def __init__(self, cfg: DistributedConfig, shards, loops):
         p = cfg.workers
         speed = tuple(cfg.speed) if cfg.speed is not None else (1.0,) * p
-        vr_evals = GRAD_EVALS_PER_VR_STEP[cfg.accum_grad]
-        sgd_evals = GRAD_EVALS_PER_SGD_STEP[cfg.accum_grad]
-        self.cost = [len(shards[s].dataset) * vr_evals / speed[s]
-                     for s in range(p)]
+        accum = cfg.accum_grad
+        self.cost = [epoch_grad_evals("vrlite", len(sh.dataset), accum, False) / speed[s]
+                     for s, sh in enumerate(shards)]
         self.latency = cfg.latency
         # The bootstrap epoch on worker 0, then its broadcast hop.
-        self.now = len(shards[0].dataset) * sgd_evals / speed[0] + cfg.latency
+        boot = epoch_grad_evals("vrlite", len(shards[0].dataset), accum, True)
+        self.now = boot / speed[0] + cfg.latency
         self.srng = scheduler_rng(cfg.seed)
         self.loops = loops
         self.pending: list[list] = []  # [ready_time, worker, report] in flight

@@ -74,8 +74,9 @@ class Dataset:
         return LabeledSample(self.features[i], float(self.labels[i]))
 
     def subset(self, indices) -> "Dataset":
-        """New Dataset holding the given rows, in the given order."""
-        indices = np.asarray(indices, dtype=np.intp)
+        """New Dataset holding the given rows, in the given order: integer
+        indices in [0, n), else IndexError, as for a sample order."""
+        indices = _kernel.indices(indices, len(self))
         return Dataset(self.features[indices], self.labels[indices], self.task)
 
     def __repr__(self):
@@ -112,13 +113,6 @@ def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _softplus(z: float) -> float:
-    # log(1 + exp(z)) without overflow on large |z|.
-    if z > 0.0:
-        return z + math.log1p(math.exp(-z))
-    return math.log1p(math.exp(z))
-
-
 def _grad_coef(logistic: bool, margin: float, label: float) -> float:
     """Scalar weight of the feature vector in the per-sample gradient."""
     if logistic:
@@ -142,15 +136,10 @@ def _check_dim(d_have: int, d_want: int, what: str = "x"):
 
 
 def loss_sample(model: LossModel, sample: LabeledSample, x: np.ndarray) -> float:
-    """Per-sample loss f_i(x), l2 term included."""
-    a = sample.features
-    _check_dim(x.shape[0], a.shape[0])
-    margin = float(np.dot(a, x))
-    reg = model.lam * float(np.dot(x, x))
-    if model.kind == "logistic":
-        return _softplus(sample.label * margin) + reg
-    r = margin - sample.label
-    return r * r + reg
+    """Per-sample loss f_i(x), l2 term included: `objective` over the
+    one-sample set."""
+    t = _terms(model, sample.features[None], [sample.label], x)
+    return _objective_at(model, x, t)
 
 
 def grad_sample(model: LossModel, sample: LabeledSample, x: np.ndarray) -> np.ndarray:
@@ -162,30 +151,31 @@ def grad_sample(model: LossModel, sample: LabeledSample, x: np.ndarray) -> np.nd
 
 def objective(model: LossModel, ds: Dataset, x: np.ndarray) -> float:
     """Full objective (1/n) sum_i f_i(x), computed with vectorized math."""
-    return _objective_at(model, x, _terms(model, ds, x))
+    return _objective_at(model, x, _terms(model, ds.features, ds.labels, x))
 
 
 def full_gradient(model: LossModel, ds: Dataset, x: np.ndarray) -> np.ndarray:
     """Mean of the per-sample gradients over the whole dataset."""
-    return _gradient_at(model, ds, x, _terms(model, ds, x))
+    return _gradient_at(model, ds, x, _terms(model, ds.features, ds.labels, x))
 
 
 def _objective_and_gradient(model: LossModel, ds: Dataset,
                             x: np.ndarray) -> tuple[float, np.ndarray]:
     """objective and full_gradient at x from one shared _terms (one
     F @ x and one b * z or z - b): the same bits as the two calls."""
-    t = _terms(model, ds, x)
+    t = _terms(model, ds.features, ds.labels, x)
     return _objective_at(model, x, t), _gradient_at(model, ds, x, t)
 
 
-def _terms(model: LossModel, ds: Dataset, x: np.ndarray) -> np.ndarray:
+def _terms(model: LossModel, F: np.ndarray, b, x: np.ndarray) -> np.ndarray:
     """Each sample's data loss at x as a function of one number t[i], from
-    the margins z = F @ x: t = b * z (logistic) or t = z - b (ridge)."""
-    _check_dim(x.shape[0], ds.dimension)
-    z = ds.features @ x
+    the margins z = F @ x and labels b: t = b * z (logistic) or t = z - b
+    (ridge)."""
+    _check_dim(x.shape[0], F.shape[1])
+    z = F @ x
     if model.kind == "logistic":
-        return ds.labels * z
-    return z - ds.labels
+        return b * z
+    return z - b
 
 
 def _objective_at(model: LossModel, x: np.ndarray, t: np.ndarray) -> float:

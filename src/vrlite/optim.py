@@ -26,11 +26,26 @@ from . import _kernel
 from .model import Dataset, LossModel, _grad_coefs, _row_grad, _terms, full_gradient
 
 ACCUM_MODES = ("post", "reuse")
+SVRG_INNER = 2  # an SVRG round takes SVRG_INNER * n inner steps
 
-# Per-sample gradient evaluations performed by one inner step, used by
-# the benchmark's deterministic cost accounting.
-GRAD_EVALS_PER_VR_STEP = {"post": 3, "reuse": 2}
-GRAD_EVALS_PER_SGD_STEP = {"post": 2, "reuse": 1}
+
+def epoch_grad_evals(algo: str, n: int, accum_grad: str, first: bool) -> int:
+    """Per-sample gradient evaluations of one epoch over n samples, the
+    cost both virtual clocks charge. A vrlite step takes grad_i at x and
+    at x_bar, a plain-SGD step (SGD, and vrlite's first epoch, its
+    bootstrap) one, and "post" adds one at the new iterate to either. An
+    SVRG round is a snapshot pass plus SVRG_INNER * n steps of two. A
+    SAGA epoch is n steps of one, after a table fill of n charged to the
+    first epoch."""
+    _check_accum(accum_grad)
+    post = accum_grad == "post"
+    if algo == "svrg":
+        return n + SVRG_INNER * n * 2
+    if algo == "saga":
+        return 2 * n if first else n
+    if algo == "vrlite" and not first:
+        return n * (3 if post else 2)
+    return n * (2 if post else 1)
 
 
 @dataclass
@@ -206,25 +221,23 @@ def sgd_epoch(state: OptState, model: LossModel, ds: Dataset, eta: float,
 
 
 def svrg_epoch(x: np.ndarray, model: LossModel, ds: Dataset, eta: float,
-               rng: np.random.Generator, inner_steps: int | None = None) -> np.ndarray:
+               rng: np.random.Generator) -> np.ndarray:
     """One SVRG round: snapshot the iterate, take the exact full gradient
-    there, then run inner corrected steps with indices drawn uniformly
-    with replacement. Returns the last inner iterate.
+    there, then run SVRG_INNER * n corrected steps (m = 2n, as in Johnson
+    and Zhang) with indices drawn uniformly with replacement. Returns the
+    last inner iterate.
 
-    inner_steps defaults to 2n. All inner indices are drawn from rng up
-    front, so the consumption of randomness is well defined. With K
-    iterates (x of shape (K, d)) and K stepsizes, K rounds run in lock
-    step over the same indices, each with its own snapshot.
+    All inner indices are drawn from rng up front, so the consumption of
+    randomness is well defined. With K iterates (x of shape (K, d)) and
+    K stepsizes, K rounds run in lock step over the same indices, each
+    with its own snapshot.
     """
     _check_eta(eta)
     n = len(ds)
-    inner = 2 * n if inner_steps is None else inner_steps
-    if inner < 0:
-        raise ValueError("inner_steps must be >= 0")
     y = x.copy()
     g_full = np.reshape([full_gradient(model, ds, v) for v in
                          y.reshape(-1, y.shape[-1])], y.shape)
-    x, _ = _epoch(model, ds, x, rng.integers(0, n, size=inner), eta,
+    x, _ = _epoch(model, ds, x, rng.integers(0, n, size=SVRG_INNER * n), eta,
                   anchor=(y, g_full))
     return x
 
@@ -239,7 +252,7 @@ class SagaState:
 
 def saga_init(model: LossModel, ds: Dataset, x0: np.ndarray) -> SagaState:
     """Fill the gradient table with per-sample gradients at x0."""
-    coefs = _grad_coefs(model, ds, _terms(model, ds, x0))
+    coefs = _grad_coefs(model, ds, _terms(model, ds.features, ds.labels, x0))
     table = coefs[:, None] * ds.features + (2.0 * model.lam) * x0
     return SagaState(grad_table=table, table_mean=table.mean(axis=0))
 

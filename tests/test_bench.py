@@ -177,6 +177,21 @@ def test_virtual_wall_clock_per_algorithm(algo, expected_walls):
     assert [r.epoch for r in res.rows] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("dataset", ["toy-class", "toy-reg"])
+@pytest.mark.parametrize("accum", ["post", "reuse"])
+def test_seq_csv_equals_one_worker_sync_sim(dataset, accum):
+    """One sync worker at latency 0 runs the sequential trajectory on the
+    same clock: both clocks charge `optim.epoch_grad_evals`, so the CSVs
+    differ only in the mode column."""
+    seq = run_experiment(_cfg(dataset=dataset, eta=1e-3, epochs=6,
+                              accum_grad=accum))
+    sim = run_experiment(_cfg(dataset=dataset, eta=1e-3, epochs=6,
+                              accum_grad=accum, mode="sync"))
+    assert {r.mode for r in sim.rows} == {"sync"}
+    assert (render_csv([replace(r, mode="seq") for r in sim.rows])
+            == render_csv(seq.rows))
+
+
 def test_rows_record_config_fields():
     res = run_experiment(_cfg(algo="sgd", eta=0.01, epochs=2, seed=9))
     for r in res.rows:

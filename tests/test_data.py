@@ -169,6 +169,21 @@ def test_format_parse_round_trip(tiny_ridge):
     np.testing.assert_array_equal(back.labels, ds.labels)
 
 
+@pytest.mark.parametrize("labels,back_labels", [
+    ([0.0, 1.0, 0.0], [-1.0, 1.0, -1.0]),
+    ([1.0, -1.0, 1.0], [1.0, -1.0, 1.0]),
+])
+def test_round_trip_reads_two_valued_regression_labels_as_classes(labels,
+                                                                   back_labels):
+    """The one set the round trip does not invert: regression labels that
+    all lie in {0, 1} or {-1, +1} come back as classification."""
+    ds = Dataset(np.eye(3), np.array(labels), "regression")
+    back = parse_libsvm(format_libsvm(ds), expected_d=ds.dimension)
+    assert back.task == "classification"
+    np.testing.assert_array_equal(back.features, ds.features)
+    np.testing.assert_array_equal(back.labels, back_labels)
+
+
 def test_format_parse_round_trip_sparse_classification():
     features = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     ds = Dataset(features, np.array([1.0, -1.0, 1.0]), "classification")

@@ -12,6 +12,7 @@ from vrlite.optim import (
     ACCUM_MODES,
     EpochAverages,
     OptState,
+    epoch_grad_evals,
     initial_state,
     permutation,
     saga_epoch,
@@ -150,9 +151,6 @@ def test_eta_validation():
         vrlite_init(m, ds, float("nan"), np.random.default_rng(0))
     with pytest.raises(ValueError):
         vrlite_init(m, ds, 0.1, np.random.default_rng(0), accum_grad="lazy")
-    with pytest.raises(ValueError):
-        svrg_epoch(np.zeros(2), m, ds, 0.1, np.random.default_rng(0),
-                   inner_steps=-1)
 
 
 @pytest.mark.parametrize("accum", ACCUM_MODES)
@@ -300,11 +298,23 @@ def test_svrg_replays_from_public_api(tiny_ridge):
     np.testing.assert_array_equal(out, x)
 
 
-def test_svrg_inner_steps_zero_returns_input():
-    ds, m = _single_sample_ridge()
-    x0 = np.array([0.3, -0.2])
-    out = svrg_epoch(x0, m, ds, 0.1, np.random.default_rng(0), inner_steps=0)
-    np.testing.assert_array_equal(out, x0)
+@pytest.mark.parametrize("algo,accum,first,evals", [
+    ("vrlite", "post", True, 20), ("vrlite", "post", False, 30),   # 2, then 3
+    ("vrlite", "reuse", True, 10), ("vrlite", "reuse", False, 20),  # 1, then 2
+    ("sgd", "post", True, 20), ("sgd", "post", False, 20),
+    ("sgd", "reuse", True, 10), ("sgd", "reuse", False, 10),
+    ("svrg", "post", True, 50), ("svrg", "post", False, 50),  # n + 2n * 2
+    ("svrg", "reuse", True, 50), ("svrg", "reuse", False, 50),
+    ("saga", "post", True, 20), ("saga", "post", False, 10),  # fill, then n
+    ("saga", "reuse", True, 20), ("saga", "reuse", False, 10),
+])
+def test_epoch_grad_evals_hand_values(algo, accum, first, evals):
+    assert epoch_grad_evals(algo, 10, accum, first) == evals
+
+
+def test_epoch_grad_evals_rejects_unknown_accum_mode():
+    with pytest.raises(ValueError, match="accum_grad"):
+        epoch_grad_evals("vrlite", 10, "lazy", False)
 
 
 @pytest.mark.parametrize("toy", ["toy_class", "toy_ridge"])

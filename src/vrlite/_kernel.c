@@ -26,20 +26,29 @@
  * lane's arithmetic is the one-run arithmetic, element by element (gcc's
  * vector extensions round each element as the scalar operation does, and
  * every margin stays its own chain from 0.0), so every lane equals a run
- * of its own bit for bit. Three static instantiations:
- *   epoch_one     T = double, W = 1: one run, in the caller's arrays;
- *   epoch_lanes2  two lanes of the baseline ISA (SSE2 on x86-64);
- *   epoch_lanes4  four AVX2 lanes, x86-64 only, built with a per-function
- *                 target attribute so the file needs no -march flag.
- * `epoch`, the one entry, takes K runs as (K, d) row-major arrays and steps
- * them in blocks of lane_width(), the widest width this CPU runs, picked
- * once when the library loads. It copies each block into the caller's
- * `work` as (d, W) lanes, the lanes past the last run padded with 0, and
- * copies the iterates and sums back afterwards. A block with one live run
- * goes through epoch_one in place instead, which is faster there.
+ * of its own bit for bit. Four static instantiations:
+ *   epoch_one       T = double, W = 1: one run, in the caller's arrays;
+ *   epoch_one_avx2  the same loop built for AVX2: gcc vectorizes its
+ *                   elementwise work across j four wide instead of two;
+ *                   each margin stays an in-order chain, and the avx2
+ *                   target has no fused multiply-add;
+ *   epoch_lanes2    two lanes of the baseline ISA (SSE2 on x86-64);
+ *   epoch_lanes4    four AVX2 lanes.
+ * The AVX2 builds exist on x86-64 only and carry a per-function target
+ * attribute, so the file needs no -march flag. `epoch`, the one entry,
+ * takes K runs as (K, d) row-major arrays and steps them in blocks of
+ * lane_width(), the widest width this CPU runs. It copies each block into
+ * the caller's `work` as (d, W) lanes, the lanes past the last run padded
+ * with 0, and copies the iterates and sums back afterwards. A block with
+ * one live run goes through the one-run loop in place instead, which is
+ * faster there. The width and both loops are picked once, when the
+ * library loads: the AVX2 ones wherever the CPU has AVX2.
  *
- * The caller has checked every length and index. Nothing here allocates or
- * touches a Python object, so the calls run without the interpreter lock.
+ * The caller has checked every length and index, and the arrays `epoch`
+ * writes (x, acc_x, acc_g, work) overlap no other argument: the loops take
+ * every array as a restrict pointer, which spares them a run-time overlap
+ * check per step. Nothing here allocates or touches a Python object, so
+ * the calls run without the interpreter lock.
  */
 
 #include <math.h>
@@ -102,12 +111,13 @@ double dot(const double *a, const double *x, int64_t d)
  * updated iterate) or 2 ("reuse": the step gradient); acc_x and acc_g
  * receive the sums. eta holds one stepsize per lane. */
 #define EPOCH_LOOP(NAME, T, COEF, ATTR)                                        \
-    static ATTR void NAME(const double *F, const double *L,                    \
-                          const int64_t *order, int64_t m, int64_t d,          \
-                          double *x_, const double *x_ref_,                    \
-                          const double *g_mean_, int logistic, double lam2,    \
-                          const double *eta_, int accum, double *acc_x_,       \
-                          double *acc_g_)                                      \
+    static ATTR void NAME(const double *restrict F,                            \
+                          const double *restrict L,                            \
+                          const int64_t *restrict order, int64_t m, int64_t d, \
+                          double *restrict x_, const double *restrict x_ref_,  \
+                          const double *restrict g_mean_, int logistic,        \
+                          double lam2, const double *restrict eta_, int accum, \
+                          double *restrict acc_x_, double *restrict acc_g_)    \
     {                                                                          \
         if (m == 0)                                                            \
             return;                                                            \
@@ -167,14 +177,17 @@ LANE_COEF(coef_lanes2, lanes2, 2, )
 EPOCH_LOOP(epoch_lanes2, lanes2, coef_lanes2, )
 
 #ifdef HAVE_LANES4
+EPOCH_LOOP(epoch_one_avx2, double, grad_coef, AVX2)
+
 LANE_COEF(coef_lanes4, lanes4, 4, AVX2)
 EPOCH_LOOP(epoch_lanes4, lanes4, coef_lanes4, AVX2)
 #endif
 
-/* The lane path of `epoch` and its width: set by the loader before any
- * call can run and only read after that, so concurrent calls share no
- * writable state. */
+/* The one-run and lane paths of `epoch` and the lane width: set by the
+ * loader before any call can run and only read after that, so concurrent
+ * calls share no writable state. */
 static int width = 2;
+static __typeof__(epoch_one) *one_loop = epoch_one;
 static __typeof__(epoch_lanes2) *lane_loop = epoch_lanes2;
 
 __attribute__((constructor)) static void pick_lanes(void)
@@ -183,6 +196,7 @@ __attribute__((constructor)) static void pick_lanes(void)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx2")) {
         width = 4;
+        one_loop = epoch_one_avx2;
         lane_loop = epoch_lanes4;
     }
 #endif
@@ -211,9 +225,9 @@ void epoch(const double *F, const double *L, const int64_t *order, int64_t m,
     for (int64_t k0 = 0; k0 < K; k0 += W) {
         int64_t live = K - k0 < W ? K - k0 : W, off = k0 * d;
         if (live == 1) {
-            epoch_one(F, L, order, m, d, x + off, x_ref ? x_ref + off : NULL,
-                      x_ref ? g_mean + off : NULL, logistic, lam2, eta + k0,
-                      accum, acc_x + off, acc_g + off);
+            one_loop(F, L, order, m, d, x + off, x_ref ? x_ref + off : NULL,
+                     x_ref ? g_mean + off : NULL, logistic, lam2, eta + k0,
+                     accum, acc_x + off, acc_g + off);
             continue;
         }
         for (int64_t l = 0; l < (5 * d + 1) * W; l++)

@@ -3,8 +3,10 @@
 `_kernel.c` holds `dot`, the margin of every per-sample gradient;
 `epoch`, the loop of `optim._epoch` (SGD, SVRG and vrlite) for any
 number of runs over one sample order, which C steps in SIMD lanes of the
-width `lane_width()` it picked for this CPU; and `saga_epoch`, the loop
-of `optim.saga_epoch`. On first import the source
+width `lane_width()`, with a one-run loop for a single run; and
+`saga_epoch`, the loop of `optim.saga_epoch`. The library picks the lane
+width and both loops when it loads: the AVX2 builds where the CPU has
+AVX2, the baseline ones elsewhere. On first import the source
 is compiled with gcc into this package's `__pycache__/`, under a name
 keyed by a CRC-32 of the source, the flags and the compiler (its resolved
 path, size and modification time, which change with its version). The
@@ -23,7 +25,9 @@ same order as the C loop, so both paths give the same bits.
 
 Every pointer handed to C comes from `matrix`, `rows` or `indices`,
 which check length, shape, dtype, alignment, contiguity and index range
-first.
+first. The C `epoch` writes only into one buffer that `epoch` below
+allocates per call, so what it writes overlaps none of its inputs, as
+its loops assume.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ each worker's most recently reported values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +127,15 @@ def worker_sync_epoch(w: WorkerState, shard: Shard, model: LossModel, eta: float
     """Run one local epoch over the shard and report the resulting
     (x, x_bar, g_bar). Averages are over the shard's own length."""
     x, averages = _local_epoch(w, shard, model, eta, rng, accum_grad)
-    new_w = replace(w, x=x, averages=averages, epoch=w.epoch + 1)
+    new_w = WorkerState(
+        worker_id=w.worker_id,
+        x=x,
+        averages=averages,
+        last_reported_x=w.last_reported_x,
+        last_reported_x_bar=w.last_reported_x_bar,
+        last_reported_g_bar=w.last_reported_g_bar,
+        epoch=w.epoch + 1,
+    )
     msg = ProtocolMessage(MessageTag.SYNC_REPORT, w.worker_id, new_w.epoch,
                           x, averages.x_bar, averages.g_bar)
     return new_w, msg
@@ -164,8 +172,15 @@ def adopt_global_state(w: WorkerState, msg: ProtocolMessage) -> WorkerState:
         raise ProtocolError(f"expected GLOBAL_STATE, got {msg.tag!r}")
     if not msg.v1.shape == msg.v2.shape == msg.v3.shape == w.x.shape:
         raise ProtocolError("global state dimension does not match worker")
-    averages = replace(w.averages, x_bar=msg.v2, g_bar=msg.v3)
-    return replace(w, x=msg.v1, averages=averages)
+    return WorkerState(
+        worker_id=w.worker_id,
+        x=msg.v1,
+        averages=EpochAverages(msg.v2, msg.v3),
+        last_reported_x=w.last_reported_x,
+        last_reported_x_bar=w.last_reported_x_bar,
+        last_reported_g_bar=w.last_reported_g_bar,
+        epoch=w.epoch,
+    )
 
 
 def central_sync_aggregate(reports: list[ProtocolMessage], p: int) -> ProtocolMessage:

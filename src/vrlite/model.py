@@ -108,7 +108,10 @@ def _sigmoid(z: float) -> float:
 
 def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
     # _sigmoid's two branches over one shared exp(-|z|) <= 1: exp(-z) where
-    # z >= 0 and exp(z) elsewhere, so each element gets _sigmoid's bits.
+    # z >= 0 and exp(z) elsewhere. Bit for bit the masked two-branch form,
+    # but not _sigmoid's bits: np.exp is NumPy's SIMD exp, not libm's. Over
+    # 200 000 draws of N(0, 5^2) (NumPy 2.4.6, AVX2 x86-64), 4 365 elements
+    # differed from _sigmoid, by at most 3.3e-16 relative.
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 

@@ -1,11 +1,15 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from vrlite.data import SyntheticSpec, gen_gaussian_classification
 from vrlite.model import Dataset, LossModel
+from vrlite.optim import EpochAverages, OptState, vrlite_epoch
 from vrlite.distributed.protocol import MessageTag, ProtocolMessage
 from vrlite.distributed.runtime import (
     ProtocolError,
+    WorkerState,
     central_async_apply,
     central_async_state,
     central_sync_aggregate,
@@ -164,6 +168,57 @@ def test_adopt_global_state_replaces_triple_only(small_problem):
     np.testing.assert_array_equal(w2.averages.g_bar, [9, 9, 9])
     np.testing.assert_array_equal(w2.last_reported_x, [9, 9, 9])
     assert w2.epoch == w.epoch
+
+
+def _assert_worker_state(w, want):
+    """Every WorkerState field of w equals want's entry of that name."""
+    assert {f.name for f in fields(WorkerState)} == want.keys()
+    for name, value in want.items():
+        got = getattr(w, name)
+        if isinstance(value, EpochAverages):
+            np.testing.assert_array_equal(got.x_bar, value.x_bar)
+            np.testing.assert_array_equal(got.g_bar, value.g_bar)
+        elif isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(got, value)
+        else:
+            assert got == value, name
+
+
+@pytest.mark.parametrize("step", ["sync", "async", "adopt"])
+def test_worker_transitions_set_every_field(small_problem, step):
+    """Each transition builds a new WorkerState field by field. With a
+    distinct value in every field, a field that is dropped, swapped or
+    left stale shows."""
+    ds, m = small_problem
+    shard = shard_dataset(ds, 2, shard_rng(0))[1]
+    old = WorkerState(
+        worker_id=1,
+        x=np.full(4, 0.1),
+        averages=EpochAverages(np.full(4, 0.2), np.full(4, 0.3)),
+        last_reported_x=np.full(4, 0.4),
+        last_reported_x_bar=np.full(4, 0.5),
+        last_reported_g_bar=np.full(4, 0.6),
+        epoch=3,
+    )
+    kept = {name: getattr(old, name) for name in
+            ("worker_id", "last_reported_x", "last_reported_x_bar",
+             "last_reported_g_bar")}
+    if step == "adopt":
+        msg = _msg(MessageTag.GLOBAL_STATE, 0, 9, [7] * 4, [8] * 4, [9] * 4)
+        want = dict(kept, x=msg.v1, averages=EpochAverages(msg.v2, msg.v3),
+                    epoch=3)
+        _assert_worker_state(adopt_global_state(old, msg), want)
+        return
+    ref = vrlite_epoch(OptState(old.x, old.averages), m, shard.dataset, 0.05,
+                       optimizer_rng(7))
+    want = dict(kept, x=ref.x, averages=ref.averages, epoch=4)
+    if step == "async":
+        want.update(last_reported_x=ref.x,
+                    last_reported_x_bar=ref.averages.x_bar,
+                    last_reported_g_bar=ref.averages.g_bar)
+    epoch = {"sync": worker_sync_epoch, "async": worker_async_epoch}[step]
+    new_w, _ = epoch(old, shard, m, 0.05, optimizer_rng(7))
+    _assert_worker_state(new_w, want)
 
 
 def test_adopt_global_state_validation():

@@ -209,8 +209,9 @@ def _problems(draw):
     """A small problem and a sample order with repeated consecutive
     indices: the fused loop takes each step's margins from the step
     before, so the order's length (0, 1 or more) and its repeats pin the
-    loop's boundaries."""
-    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    loop's boundaries. d up to 25 gives the vectorized one-run loop both
+    its 4-wide body and its tail, as at the toys' d = 20."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 25))
     logistic = draw(st.booleans())
     F = draw(_arrays((n, d)))
     if logistic:
@@ -270,10 +271,10 @@ def baseline_lib(tmp_path_factory):
 def test_every_lane_equals_its_own_run(baseline_lib, problem, K, data):
     """K runs over one order, each with its own start, anchor and
     stepsize (some overflowing next to finite ones), through this build
-    and the build without AVX2, so both lane widths are covered on an
-    AVX2 machine: each run equals its one-run call and `_epoch_py` bit
-    for bit. K up to 9 leaves last blocks of every fill at widths 2 and 4,
-    one live run included."""
+    and the build without AVX2, so both one-run loops and both lane
+    widths are covered on an AVX2 machine: each run equals its one-run
+    call and `_epoch_py` bit for bit. K up to 9 leaves last blocks of
+    every fill at widths 2 and 4, one live run included."""
     F, L, order, x, logistic, lam2, eta = problem
     d = x.shape[0]
     starts = [np.ldexp(data.draw(_arrays(d)), data.draw(st.sampled_from([0, 1020])))
@@ -373,14 +374,16 @@ def _cpu_has_avx2() -> bool:
 
 @needs_lib
 def test_lane_paths_of_this_build(baseline_lib):
-    """No -march flag: the AVX2 lanes come from a per-function target
-    and are used only where the CPU has AVX2; without them two lanes
-    serve. The loops and the width stay private to the library."""
+    """No -march flag: the AVX2 one-run loop and lanes come from a
+    per-function target and are used only where the CPU has AVX2; without
+    them the baseline one-run loop and two lanes serve. The loops, their
+    pointers and the width stay private to the library."""
     assert not any(f.startswith("-march") for f in _kernel.FLAGS)
     avx2 = platform.machine() == "x86_64" and _cpu_has_avx2()
     assert _kernel.lib.lane_width() == (4 if avx2 else 2)
     assert baseline_lib.lane_width() == 2
-    for name in ("epoch_one", "epoch_lanes2", "epoch_lanes4", "width", "lane_loop"):
+    for name in ("epoch_one", "epoch_one_avx2", "epoch_lanes2", "epoch_lanes4",
+                 "width", "one_loop", "lane_loop"):
         assert not hasattr(_kernel.lib, name)
 
 
